@@ -1284,14 +1284,14 @@ let run_live_bench () =
   bench
 
 (* ------------------------------------------------------------------ *)
-(* Solver microbench: workspace fast path vs reference stepper         *)
+(* Solver microbench: Pde.solve (a width-1 panel) vs the reference     *)
 (* ------------------------------------------------------------------ *)
 
 type solver_bench = {
   vb_name : string;
   vb_steps : int;              (* time steps per solve *)
-  vb_fast_ns : float;          (* ns per step, workspace path *)
-  vb_ref_ns : float;           (* ns per step, reference stepper *)
+  vb_fast_ns : float;          (* ns per step, Pde.solve *)
+  vb_ref_ns : float;           (* ns per step, Pde.solve_reference *)
   vb_speedup : float;
   vb_fast_minor_words : float; (* minor words allocated per solve *)
   vb_ref_minor_words : float;
@@ -1299,78 +1299,66 @@ type solver_bench = {
   vb_identical : bool;         (* per-cell bit equality of the outputs *)
 }
 
+let solutions_identical (a : Numerics.Pde.solution) (b : Numerics.Pde.solution)
+    =
+  Array.length a.values = Array.length b.values
+  && Array.for_all2
+       (Array.for_all2 (fun v w ->
+            Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float w)))
+       a.values b.values
+
+(* Mean wall seconds and minor words per call of [f], after a warm-up
+   call.  Observability is off while measuring, so no path pays for
+   timing syscalls or metric floats in these numbers. *)
+let time_and_alloc ~reps f =
+  ignore (f ());
+  Obs.set_enabled false;
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    ignore (f ())
+  done;
+  let seconds = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  Obs.set_enabled true;
+  (seconds /. float_of_int reps, words /. float_of_int reps)
+
+let scheme_of_bench_name = function
+  | "ftcs" -> Numerics.Pde.Ftcs
+  | "imex-cn" -> Numerics.Pde.Imex 0.5
+  | "strang" -> Numerics.Pde.Strang
+  | _ -> assert false
+
 let run_solver_bench () =
-  section
-    "Solver: allocation-free workspace vs reference stepper (per scheme)";
+  section "Solver: Pde.solve (a width-1 panel) vs the reference stepper";
   let module Pde = Numerics.Pde in
   let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
-  let k = 25. in
   let p =
     {
       Pde.xl = 1.;
       xr = 6.;
       nx = 101;
       diffusion = (fun _ -> 0.05);
-      reaction = Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)));
+      reaction = Pde.Logistic { r; k = 25. };
       initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
       t0 = 1.;
     }
   in
   let times = [| 2.; 3.; 4.; 5.; 6. |] in
   let dt = 0.01 in
-  (* fresh scheme value per solve: the Strang reaction closure is
-     stateful (memoized r-integral) *)
-  let scheme_of = function
-    | "ftcs" -> Pde.Ftcs
-    | "imex-cn" -> Pde.Imex 0.5
-    | "strang" -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-    | _ -> assert false
-  in
-  let solve_with name ~reference =
-    Pde.solve ~scheme:(scheme_of name) ~dt ~reference p ~times
-  in
-  let identical (a : Pde.solution) (b : Pde.solution) =
-    let ok = ref (Array.length a.Pde.values = Array.length b.Pde.values) in
-    Array.iteri
-      (fun it row ->
-        Array.iteri
-          (fun ix v ->
-            if
-              not
-                (Int64.equal (Int64.bits_of_float v)
-                   (Int64.bits_of_float b.Pde.values.(it).(ix)))
-            then ok := false)
-          row)
-      a.Pde.values;
-    !ok
-  in
-  let reps = 25 in
-  let measure name ~reference =
-    (* observability stays off while measuring, so neither path pays
-       for timing syscalls or metric floats in these numbers *)
-    ignore (solve_with name ~reference);
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (solve_with name ~reference)
-    done;
-    let seconds = Unix.gettimeofday () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    (seconds /. float_of_int reps, words /. float_of_int reps)
-  in
   let bench name =
+    let scheme = scheme_of_bench_name name in
+    let fast () = Pde.solve ~scheme ~dt p ~times in
+    let reference () = Pde.solve_reference ~scheme ~dt p ~times in
     (* actual step count read back from the step counter (FTCS
        sub-steps below the CFL limit, so it differs per scheme) *)
     let c_steps = Obs.Metrics.counter "pde.steps" in
     let before = Obs.Metrics.counter_value c_steps in
-    let fast_sol = solve_with name ~reference:false in
+    let fast_sol = fast () in
     let steps = Obs.Metrics.counter_value c_steps - before in
-    let ref_sol = solve_with name ~reference:true in
-    let vb_identical = identical fast_sol ref_sol in
-    Obs.set_enabled false;
-    let fast_s, fast_w = measure name ~reference:false in
-    let ref_s, ref_w = measure name ~reference:true in
-    Obs.set_enabled true;
+    let vb_identical = solutions_identical fast_sol (reference ()) in
+    let fast_s, fast_w = time_and_alloc ~reps:25 fast in
+    let ref_s, ref_w = time_and_alloc ~reps:25 reference in
     let per_step s = s *. 1e9 /. float_of_int steps in
     {
       vb_name = name;
@@ -1399,7 +1387,7 @@ let run_solver_bench () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Panel bench: fused multi-story panel vs a per-story scalar loop     *)
+(* Panel bench: fused multi-story panel vs per-story solves            *)
 (* ------------------------------------------------------------------ *)
 
 type panel_bench = {
@@ -1407,133 +1395,63 @@ type panel_bench = {
   pn_stories : int;
   pn_steps : int;               (* macro time steps per solve *)
   pn_panel_ns : float;          (* ns per story per step, fused panel *)
-  pn_scalar_ns : float;         (* ns per story per step, scalar loop *)
-  pn_speedup : float;
+  pn_scalar_ns : float;         (* ns per story per step, reference loop *)
+  pn_speedup : float;           (* reference loop / panel *)
+  pn_width1_ns : float;         (* ns per story per step, Pde.solve loop *)
+  pn_batching : float;          (* Pde.solve loop / panel *)
   pn_panel_words : float;       (* minor words per story per solve *)
   pn_scalar_words : float;
-  pn_alloc_ratio : float;       (* scalar / panel *)
-  pn_identical : bool;          (* per-cell bit equality vs scalar loop *)
+  pn_alloc_ratio : float;       (* reference loop / panel *)
+  pn_identical : bool;          (* per-cell bit equality vs the reference *)
 }
 
 let run_panel_bench () =
-  section "Solver: fused multi-story panels vs a per-story scalar loop";
+  section "Solver: fused multi-story panels vs per-story solves";
   let module Pde = Numerics.Pde in
   let ns = 8 in
   let dt = 0.01 in
   let times = [| 2.; 3.; 4.; 5.; 6. |] in
   (* stories share the grid (the panel precondition) but not the
      physics: every story gets its own diffusion, growth, K and
-     initial amplitude so the batched sweeps do real per-story work *)
-  let story_bits i =
-    let fi = float_of_int i in
-    let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
-    let c = 0.2 +. (0.015 *. fi) in
-    let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
-    let k = 18. +. (2.5 *. fi) in
-    let d = 0.03 +. (0.004 *. fi) in
-    let amp = 6. +. (0.5 *. fi) in
-    (d, r, k, amp)
-  in
-  let pp =
-    {
-      Pde.pp_xl = 1.;
-      pp_xr = 6.;
-      pp_nx = 101;
-      pp_t0 = 1.;
-      pp_stories =
-        Array.init ns (fun i ->
-            let d, r, k, amp = story_bits i in
-            {
-              Pde.ps_diffusion = (fun _ -> d);
-              ps_reaction = Pde.Logistic { r; k };
-              ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-            });
-    }
+     initial amplitude so the batched sweeps do real per-story work
+     (none of the diffusivities clips FTCS's dt = 0.01, so FTCS runs
+     in lockstep too) *)
+  let problems =
+    Array.init ns (fun i ->
+        let fi = float_of_int i in
+        let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
+        let c = 0.2 +. (0.015 *. fi) in
+        let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+        let amp = 6. +. (0.5 *. fi) in
+        {
+          Pde.xl = 1.;
+          xr = 6.;
+          nx = 101;
+          diffusion = (fun _ -> 0.03 +. (0.004 *. fi));
+          reaction = Pde.Logistic { r; k = 18. +. (2.5 *. fi) };
+          initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
+          t0 = 1.;
+        })
   in
   let ws = Pde.panel_workspace () in
-  let panel_solve name =
-    let scheme =
-      match name with
-      | "imex-cn" -> Pde.Panel_imex 0.5
-      | "strang" -> Pde.Panel_strang
-      | _ -> assert false
-    in
-    Pde.solve_panel ~scheme ~dt ~workspace:ws pp ~times
-  in
-  let scalar_solve name i =
-    let d, r, k, amp = story_bits i in
-    let p =
-      {
-        Pde.xl = 1.;
-        xr = 6.;
-        nx = 101;
-        diffusion = (fun _ -> d);
-        reaction = Pde.Logistic { r; k };
-        initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-        t0 = 1.;
-      }
-    in
-    (* fresh scheme value per solve: the Strang reaction closure is
-       stateful (memoized r-integral) *)
-    let scheme =
-      match name with
-      | "imex-cn" -> Pde.Imex 0.5
-      | "strang" -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-      | _ -> assert false
-    in
-    Pde.solve ~scheme ~dt ~reference:false p ~times
-  in
-  let identical (a : Pde.solution) (b : Pde.solution) =
-    let ok = ref (Array.length a.Pde.values = Array.length b.Pde.values) in
-    Array.iteri
-      (fun it row ->
-        Array.iteri
-          (fun ix v ->
-            if
-              not
-                (Int64.equal (Int64.bits_of_float v)
-                   (Int64.bits_of_float b.Pde.values.(it).(ix)))
-            then ok := false)
-          row)
-      a.Pde.values;
-    !ok
-  in
-  let reps = 10 in
   let bench name =
+    let scheme = scheme_of_bench_name name in
+    let panel () = Pde.solve_panel ~scheme ~dt ~workspace:ws problems ~times in
+    let reference () =
+      Array.map (fun p -> Pde.solve_reference ~scheme ~dt p ~times) problems
+    in
+    let width1 () = Array.map (fun p -> Pde.solve ~scheme ~dt p ~times) problems in
     let c_steps = Obs.Metrics.counter "pde.panel_steps" in
     let before = Obs.Metrics.counter_value c_steps in
-    let panel_sols = panel_solve name in
+    let panel_sols = panel () in
     let steps = Obs.Metrics.counter_value c_steps - before in
-    let scalar_sols = Array.init ns (scalar_solve name) in
     let pn_identical =
-      let ok = ref (Array.length panel_sols = ns) in
-      Array.iteri
-        (fun i sol -> if not (identical sol scalar_sols.(i)) then ok := false)
-        panel_sols;
-      !ok
+      Array.length panel_sols = ns
+      && Array.for_all2 solutions_identical panel_sols (reference ())
     in
-    Obs.set_enabled false;
-    ignore (panel_solve name);
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (panel_solve name)
-    done;
-    let panel_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let panel_w = (Gc.minor_words () -. w0) /. float_of_int reps in
-    for i = 0 to ns - 1 do
-      ignore (scalar_solve name i)
-    done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      for i = 0 to ns - 1 do
-        ignore (scalar_solve name i)
-      done
-    done;
-    let scalar_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let scalar_w = (Gc.minor_words () -. w0) /. float_of_int reps in
-    Obs.set_enabled true;
+    let panel_s, panel_w = time_and_alloc ~reps:10 panel in
+    let scalar_s, scalar_w = time_and_alloc ~reps:10 reference in
+    let width1_s, _ = time_and_alloc ~reps:10 width1 in
     let fns = float_of_int ns in
     let per s = s *. 1e9 /. (float_of_int steps *. fns) in
     {
@@ -1543,24 +1461,29 @@ let run_panel_bench () =
       pn_panel_ns = per panel_s;
       pn_scalar_ns = per scalar_s;
       pn_speedup = scalar_s /. panel_s;
+      pn_width1_ns = per width1_s;
+      pn_batching = width1_s /. panel_s;
       pn_panel_words = panel_w /. fns;
       pn_scalar_words = scalar_w /. fns;
       pn_alloc_ratio = scalar_w /. panel_w;
       pn_identical;
     }
   in
-  let rows = List.map bench [ "imex-cn"; "strang" ] in
-  Format.printf "  %-10s %7s %5s %13s %14s %8s %12s %12s %7s %s@." "scheme"
-    "stories" "steps" "panel ns/s/st" "scalar ns/s/st" "speedup" "panel w/st"
-    "scalar w/st" "alloc x" "identical";
+  let rows = List.map bench [ "ftcs"; "imex-cn"; "strang" ] in
+  Format.printf "  %-10s %7s %5s %13s %11s %8s %13s %8s %12s %7s %s@." "scheme"
+    "stories" "steps" "panel ns/s/st" "ref ns/s/st" "speedup" "width-1 ns/s/st"
+    "batching" "panel w/st" "alloc x" "identical";
   List.iter
     (fun b ->
       Format.printf
-        "  %-10s %7d %5d %13.0f %14.0f %8.2f %12.0f %12.0f %7.1f %b@."
+        "  %-10s %7d %5d %13.0f %11.0f %8.2f %13.0f %8.2f %12.0f %7.1f %b@."
         b.pn_name b.pn_stories b.pn_steps b.pn_panel_ns b.pn_scalar_ns
-        b.pn_speedup b.pn_panel_words b.pn_scalar_words b.pn_alloc_ratio
-        b.pn_identical)
+        b.pn_speedup b.pn_width1_ns b.pn_batching b.pn_panel_words
+        b.pn_alloc_ratio b.pn_identical)
     rows;
+  Format.printf
+    "  (speedup: per-story reference loop / panel, gated; batching: \
+     loop of width-1 Pde.solve / panel, ungated)@.";
   rows
 
 (* ------------------------------------------------------------------ *)
@@ -1713,13 +1636,15 @@ let write_solver_obj oc ~solver ~panel =
          \"panel_ns_per_story_step\": %s, \"scalar_ns_per_story_step\": %s, \
          \"speedup\": %s, \"panel_minor_words_per_story\": %s, \
          \"scalar_minor_words_per_story\": %s, \"alloc_ratio\": %s, \
+         \"width1_ns_per_story_step\": %s, \"batching_gain\": %s, \
          \"identical\": %b}%s\n"
         (json_escape b.pn_name) b.pn_stories b.pn_steps
         (json_float b.pn_panel_ns) (json_float b.pn_scalar_ns)
         (json_float b.pn_speedup)
         (json_float b.pn_panel_words)
         (json_float b.pn_scalar_words)
-        (json_float b.pn_alloc_ratio) b.pn_identical
+        (json_float b.pn_alloc_ratio) (json_float b.pn_width1_ns)
+        (json_float b.pn_batching) b.pn_identical
         (if i = List.length panel - 1 then "" else ","))
     panel;
   out "  ]}"

@@ -81,8 +81,8 @@ let log_story_result r =
    observations share a domain (l, L) can advance through one fused
    panel solve — the grid and CFL bookkeeping are built once per group
    and each time step runs one batched Thomas sweep across the whole
-   group.  Scores are bit-identical to the per-story path: the panel
-   solver is bit-identity-gated against the scalar stepper. *)
+   group.  Scores are bit-identical to the per-story path: every panel
+   column is bit-identity-gated against the reference stepper. *)
 let evaluate_paper ~pool ~metric ds ~stories =
   let n = Array.length stories in
   (* front half per story: observation, trimming, phi, domain (cheap

@@ -78,7 +78,7 @@ let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
 (* Nelder--Mead re-evaluates clamped boundary points often (every
    vertex pushed past the box collapses onto its projection), so the
    objective part of the penalised function is memoized per restart.
-   Process-wide toggle for the CLI [--no-solver-cache] hatch. *)
+   Process-wide toggle, so tests can compare fits with and without it. *)
 let memo_enabled = ref true
 let set_objective_memo b = memo_enabled := b
 let objective_memo_enabled () = !memo_enabled
@@ -181,8 +181,8 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
        pool hands a restart to exactly one worker domain, so the
        workspace is domain-private, and every objective evaluation of
        the restart's Nelder--Mead loop reuses the same solver buffers
-       (counted by pde.panel_reuses).  Reuse is bit-invisible: the
-       panel path is bit-identical to the scalar solve. *)
+       (counted by pde.panel_reuses).  Reuse is bit-invisible: every
+       solve is bit-identical to the reference stepper. *)
     let workspace = Pde.panel_workspace () in
     fun v ->
       let d = clamp 0 v.(0) and k = clamp 1 v.(1) in

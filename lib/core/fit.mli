@@ -142,6 +142,6 @@ val objective_memo_enabled : unit -> bool
     {!fit}: Nelder--Mead trial points that clamp onto an
     already-solved parameter vector reuse the cached objective value
     (bit-identical — it {e is} the previous float; counted by the
-    [fit.objective_cache_hits] metric).  On by default; the CLI
-    [--no-solver-cache] escape hatch turns it off.  Flip before
+    [fit.objective_cache_hits] metric).  On by default; tests turn it
+    off to check that fits are bit-identical either way.  Flip before
     fitting, not concurrently with one. *)

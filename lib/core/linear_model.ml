@@ -30,22 +30,19 @@ let check_times times =
 
 let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
   check_times times;
-  let r_fn = Growth.eval params.r in
   let p =
     {
       Pde.xl = params.l;
       xr = params.big_l;
       nx;
       diffusion = (fun _ -> params.d);
-      reaction = Pde.Linear { r = r_fn };
+      reaction = Pde.Linear { r = Growth.eval params.r };
       initial = Initial.to_function phi;
       t0 = 1.;
     }
   in
   let pde_scheme =
-    match scheme with
-    | Crank_nicolson -> Pde.Imex 0.5
-    | Strang -> Pde.Strang (Pde.linear_reaction_step ~r:r_fn)
+    match scheme with Crank_nicolson -> Pde.Imex 0.5 | Strang -> Pde.Strang
   in
   { params; pde = Pde.solve ~scheme:pde_scheme ~dt p ~times }
 

@@ -50,9 +50,8 @@ val solve :
   params -> phi:Initial.t -> times:float array -> solution
 (** [solve params ~phi ~times] integrates from t = 1 and records a
     snapshot at each requested time (all must be [>= 1]).  Defaults:
-    [Strang] with the exact linear reaction flow
-    ({!Numerics.Pde.linear_reaction_step}), [nx = 101], [dt = 0.01]
-    hours. *)
+    [Strang] with the exact linear reaction flow [u e^{∫r}] (see
+    {!Numerics.Pde.scheme}), [nx = 101], [dt = 0.01] hours. *)
 
 val predict : solution -> x:float -> t:float -> float
 (** Interpolated I(x, t) from the recorded snapshots.

@@ -24,76 +24,40 @@ let check_times times =
   if Array.exists (fun t -> t < 1.) times then
     invalid_arg "Model.solve: observation times start at t = 1"
 
-(* The DL reaction as the solver's specialised shape: evaluates as
-   exactly [r(t) u (1 - u/K)], same bits as the closure [problem_of]
-   builds, but unboxed on the panel path. *)
-let dl_reaction params =
-  Pde.Logistic
-    { r = Growth.eval params.Params.r; k = params.Params.k }
-
-let panel_story_of params ~phi =
+(* Eq. 4 with the reaction as the solver's [Logistic] shape: evaluates
+   as exactly [r(t) u (1 - u/K)], same bits as a closure with that
+   body, but unboxed in the solver's cell loops. *)
+let dl_problem ~nx params ~phi =
   {
-    Pde.ps_diffusion = (fun _ -> params.Params.d);
-    ps_reaction = dl_reaction params;
-    ps_initial = Initial.to_function phi;
+    Pde.xl = params.Params.l;
+    xr = params.Params.big_l;
+    nx;
+    diffusion = (fun _ -> params.Params.d);
+    reaction = Pde.Logistic { r = Growth.eval params.Params.r; k = params.Params.k };
+    initial = Initial.to_function phi;
+    t0 = 1.;
   }
 
-let panel_scheme_of = function
-  | Ftcs -> None
-  | Crank_nicolson -> Some (Pde.Panel_imex 0.5)
-  | Strang -> Some Pde.Panel_strang
+let pde_scheme = function
+  | Ftcs -> Pde.Ftcs
+  | Crank_nicolson -> Pde.Imex 0.5
+  | Strang -> Pde.Strang
 
 let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
     ~times =
   check_times times;
-  let fused =
+  let p = dl_problem ~nx params ~phi in
+  let scheme = pde_scheme scheme in
+  let pde =
     match workspace with
-    | None -> None
-    | Some ws -> (
-      match panel_scheme_of scheme with
-      | None -> None (* FTCS sub-steps per-story; no lockstep panel *)
-      | Some ps -> Some (ws, ps))
+    | None -> Pde.solve ~scheme ~dt p ~times
+    | Some ws ->
+      (* a width-1 panel on the caller's workspace: the buffers survive
+         across calls (one block per fit restart instead of per
+         objective evaluation) *)
+      (Pde.solve_panel ~scheme ~dt ~workspace:ws [| p |] ~times).(0)
   in
-  match fused with
-  | Some (ws, ps) ->
-    (* Width-1 panel through the fused path: bit-identical to the
-       scalar solve below, but the workspace's buffers survive across
-       calls (one factorization block per fit restart instead of per
-       objective evaluation). *)
-    let pp =
-      {
-        Pde.pp_xl = params.Params.l;
-        pp_xr = params.Params.big_l;
-        pp_nx = nx;
-        pp_t0 = 1.;
-        pp_stories = [| panel_story_of params ~phi |];
-      }
-    in
-    let sols = Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times in
-    { params; pde = sols.(0) }
-  | None ->
-    let p =
-      {
-        Pde.xl = params.Params.l;
-        xr = params.Params.big_l;
-        nx;
-        diffusion = (fun _ -> params.Params.d);
-        reaction = dl_reaction params;
-        initial = Initial.to_function phi;
-        t0 = 1.;
-      }
-    in
-    let pde_scheme =
-      match scheme with
-      | Ftcs -> Pde.Ftcs
-      | Crank_nicolson -> Pde.Imex 0.5
-      | Strang ->
-        Pde.Strang
-          (Pde.logistic_reaction_step
-             ~r:(Growth.eval params.Params.r)
-             ~k:params.Params.k)
-    in
-    { params; pde = Pde.solve ~scheme:pde_scheme ~dt p ~times }
+  { params; pde }
 
 let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
     ~times =
@@ -107,22 +71,17 @@ let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
         if p.Params.l <> l0 || p.Params.big_l <> bl0 then
           invalid_arg "Model.solve_panel: stories must share the domain (l, L)")
       stories;
-    match panel_scheme_of scheme with
-    | None ->
-      (* FTCS: per-story CFL forbids lockstep; fall back story by story. *)
+    match scheme with
+    | Ftcs ->
+      (* stories with different d get different CFL-clipped steps, so
+         FTCS solves story by story (each a width-1 panel) *)
       Array.map (fun (p, phi) -> solve ~scheme ~nx ~dt p ~phi ~times) stories
-    | Some ps ->
-      let pp =
-        {
-          Pde.pp_xl = l0;
-          pp_xr = bl0;
-          pp_nx = nx;
-          pp_t0 = 1.;
-          pp_stories =
-            Array.map (fun (p, phi) -> panel_story_of p ~phi) stories;
-        }
+    | Crank_nicolson | Strang ->
+      let sols =
+        Pde.solve_panel ~scheme:(pde_scheme scheme) ~dt ?workspace
+          (Array.map (fun (p, phi) -> dl_problem ~nx p ~phi) stories)
+          ~times
       in
-      let sols = Pde.solve_panel ~scheme:ps ~dt ?workspace pp ~times in
       Array.mapi (fun i (p, _) -> { params = p; pde = sols.(i) }) stories
   end
 

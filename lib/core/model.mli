@@ -22,12 +22,13 @@ val solve :
     time (all must be [>= 1]).  Defaults: [Strang], [nx = 101] grid
     points, [dt = 0.01] hours.
 
-    With [?workspace] (and a non-FTCS scheme) the solve runs as a
-    width-1 panel through {!Numerics.Pde.solve_panel} — bit-identical
+    Every solve is a width-1 panel.  With [?workspace] it runs through
+    {!Numerics.Pde.solve_panel} on that workspace — bit-identical
     output, but the solver buffers are reused across calls sharing the
-    workspace instead of being reallocated per solve.  Pass one
-    workspace per fit restart / pool worker; never share one across
-    domains concurrently. *)
+    workspace instead of being allocated per solve (counted under the
+    [pde.panel_*] metrics; without it, {!Numerics.Pde.solve} and
+    [pde.solves]).  Pass one workspace per fit restart / pool worker;
+    never share one across domains concurrently. *)
 
 val solve_panel :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->
@@ -37,8 +38,8 @@ val solve_panel :
     must share the domain [(l, L)] ([Invalid_argument] otherwise); all
     stories advance in lockstep through one batched Thomas sweep per
     step.  Each element of the result is bit-identical to {!solve} on
-    that story alone.  FTCS falls back to per-story solves (its CFL
-    sub-stepping is per-story). *)
+    that story alone.  FTCS solves story by story (stories with
+    different [d] get different CFL-clipped steps). *)
 
 val solve_extended :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->

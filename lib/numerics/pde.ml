@@ -1,11 +1,9 @@
 (* The reaction term, specialised by shape.  [Logistic]/[Linear] name
    the paper's two models directly so hot loops can dispatch once per
    solve and run unboxed float arithmetic per cell; [Custom] keeps the
-   fully general closure (floats box at every call — the per-cell
-   closure-call floor the panel path removes for the named shapes).
-   [reaction_eval] is the single semantics: every path, reference or
-   fast, scalar or panel, computes exactly its floating-point
-   expressions. *)
+   fully general closure (floats box at every call).  [reaction_eval]
+   is the single semantics: the reference stepper and the panel
+   stepper both compute exactly its floating-point expressions. *)
 type reaction =
   | Logistic of { r : float -> float; k : float }
   | Linear of { r : float -> float }
@@ -27,9 +25,7 @@ type problem = {
   t0 : float;
 }
 
-type reaction_step = x:float -> t:float -> dt:float -> u:float -> float
-
-type scheme = Ftcs | Imex of float | Strang of reaction_step
+type scheme = Ftcs | Imex of float | Strang
 
 type solution = {
   xs : float array;
@@ -48,7 +44,7 @@ let face_diffusion p xs =
   Array.init (p.nx - 1) (fun i ->
       (p.diffusion xs.(i) +. p.diffusion xs.(i + 1)) /. 2.)
 
-(* CFL bound from an already-built grid, so [solve] (which owns one)
+(* CFL bound from an already-built grid, so a solve (which owns one)
    never rebuilds it just to size the FTCS step. *)
 let cfl_of p xs =
   let dmax =
@@ -58,6 +54,15 @@ let cfl_of p xs =
   if dmax <= 0. then infinity else h *. h /. (2. *. dmax)
 
 let cfl_limit p = cfl_of p (grid p)
+
+(* The macro step a solve marches with: FTCS sub-steps below the CFL
+   limit, the implicit schemes take [dt] as given. *)
+let macro_step p xs scheme dt =
+  match scheme with
+  | Ftcs ->
+    let cfl = cfl_of p xs in
+    if Float.is_finite cfl then Float.min dt (0.9 *. cfl) else dt
+  | Imex _ | Strang -> dt
 
 (* Finite-volume discretisation of (d u_x)_x with zero-flux faces:
    (L u)_i = (F_{i+1/2} - F_{i-1/2}) / (h c_i),  F = d (u_{i+1} - u_i)/h,
@@ -99,29 +104,27 @@ let shifted c l =
     ~diag:(Array.init n (fun i -> 1. +. (c *. l.Tridiag.diag.(i))))
     ~sup:(Array.map (fun v -> c *. v) l.Tridiag.sup)
 
-let logistic_reaction_step ~r ~k : reaction_step =
-  (* The r(t)-integral is x-independent, so the one-slot memo turns the
-     per-cell Simpson evaluation into a per-(t, dt) one — same value,
-     bit for bit, since a hit returns the previously computed float.
-     [current] feeds the cached value through Ode's closed form without
-     allocating a fresh closure per cell.  Stateful: build one step
-     closure per solve; do not share across domains. *)
-  let integral = Quadrature.simpson_memo r ~n:8 in
-  let current = ref 0. in
-  let r_integral _ = !current in
-  fun ~x:_ ~t ~dt ~u ->
-    if u = 0. then 0.
-    else begin
-      current := integral ~a:t ~b:(t +. dt);
-      Ode.logistic_varying_r ~r_integral ~k ~n0:u dt
-    end
-
-let linear_reaction_step ~r : reaction_step =
-  (* Exact flow of u' = r(t) u: u e^{int r}.  Same one-slot memo trick
-     as [logistic_reaction_step]; stateful, one closure per solve. *)
-  let integral = Quadrature.simpson_memo r ~n:8 in
-  fun ~x:_ ~t ~dt ~u ->
-    if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
+(* Exact flow of [du/dt = f(t, u)] over [t, t+dt] for the reference
+   Strang stepper, derived from the reaction shape: the logistic closed
+   form, or [u e^{int r}] for the linear model, with the integral of r
+   by Simpson's rule.  The integral is x-independent, so a one-slot
+   memo turns the per-cell evaluation into a per-(t, dt) one (same
+   value, bit for bit).  Stateful: derive one flow per solve. *)
+let exact_flow = function
+  | Logistic { r; k } ->
+    let integral = Quadrature.simpson_memo r ~n:8 in
+    let current = ref 0. in
+    let r_integral _ = !current in
+    fun ~t ~dt ~u ->
+      if u = 0. then 0.
+      else begin
+        current := integral ~a:t ~b:(t +. dt);
+        Ode.logistic_varying_r ~r_integral ~k ~n0:u dt
+      end
+  | Linear { r } ->
+    let integral = Quadrature.simpson_memo r ~n:8 in
+    fun ~t ~dt ~u -> if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
+  | Custom _ -> assert false (* rejected by [check_args] *)
 
 (* Second-order (Heun) increment of the reaction term over [t, t+dt]. *)
 let reaction_rk2 p xs t dt u =
@@ -134,15 +137,16 @@ let reaction_rk2 p xs t dt u =
     u
 
 (* One macro time step of size dt, dispatching on the scheme.  For
-   FTCS the caller has already split dt below the CFL limit.
+   FTCS the caller has already split dt below the CFL limit; [flow] is
+   the exact reaction flow, used by Strang only.
 
-   This is the RETAINED REFERENCE STEPPER: it allocates fresh arrays
-   and operators every step, exactly as the original solver did.  The
-   workspace fast path below must stay bit-identical to it — same
+   This is the REFERENCE STEPPER: it allocates fresh arrays and
+   operators every step, exactly as the original solver did.  The
+   panel stepper below must stay bit-identical to it — same
    floating-point operations in the same order — which
-   [test/test_pde_perf.ml] enforces per cell.  Do not "optimise" this
-   function; it is the oracle. *)
-let step p xs df l scheme t dt u =
+   [test/test_pde_perf.ml] and the CI bench gate enforce per cell.  Do
+   not "optimise" this function; it is the oracle. *)
+let step p xs df l scheme flow t dt u =
   match scheme with
   | Ftcs ->
     let lu = apply_operator p df u in
@@ -154,215 +158,72 @@ let step p xs df l scheme t dt u =
     let dr = reaction_rk2 p xs t dt u in
     let rhs = Array.mapi (fun i v -> v +. dr.(i)) explicit in
     Tridiag.solve (shifted (-.(theta *. dt)) l) rhs
-  | Strang react ->
+  | Strang ->
     let half = dt /. 2. in
-    let u1 = Array.mapi (fun i ui -> react ~x:xs.(i) ~t ~dt:half ~u:ui) u in
+    let u1 = Array.map (fun ui -> flow ~t ~dt:half ~u:ui) u in
     (* Crank--Nicolson diffusion over the full step. *)
     let explicit = Tridiag.mv (shifted (dt /. 2.) l) u1 in
     let u2 = Tridiag.solve (shifted (-.(dt /. 2.)) l) explicit in
-    Array.mapi
-      (fun i ui -> react ~x:xs.(i) ~t:(t +. half) ~dt:half ~u:ui)
-      u2
+    Array.map (fun ui -> flow ~t:(t +. half) ~dt:half ~u:ui) u2
 
-(* --- workspace fast path ---------------------------------------- *)
-
-(* Everything a solve's hot loop needs, allocated once up front: a
-   double-buffered state, rhs/stage scratch, the hoisted dx^2
-   cell-weight table, and (for the implicit schemes) the shifted
-   operators and their Thomas factorization for the macro step size.
-   Ragged final partial steps before a snapshot target build throwaway
-   operators and leave the dt_macro cache intact. *)
-type workspace = {
-  mutable w_u : float array;     (* current state *)
-  mutable w_next : float array;  (* written by the step, then swapped *)
-  w_rhs : float array;
-  w_stage : float array;
-  w_h2w : float array;           (* dx^2 * cell_weight, per cell *)
-  w_dt_macro : float;
-  mutable w_ops : (Tridiag.t * Tridiag.factored) option;
-  mutable w_reuses : int;        (* steps served by the cached ops *)
-  mutable w_rebuilds : int;      (* operator (re)builds, incl. the first *)
-}
-
-let make_workspace p u0 dt_macro =
-  let n = p.nx in
-  let h2 = dx p ** 2. in
-  {
-    w_u = u0;
-    w_next = Array.make n 0.;
-    w_rhs = Array.make n 0.;
-    w_stage = Array.make n 0.;
-    w_h2w = Array.init n (fun i -> h2 *. cell_weight n i);
-    w_dt_macro = dt_macro;
-    w_ops = None;
-    w_reuses = 0;
-    w_rebuilds = 0;
-  }
-
-(* (I + c L) pairs for one step of size dt: the explicit operator and
-   the factorized implicit one.  Same [shifted] coefficients as the
-   reference stepper. *)
-let build_ops l scheme dt =
-  match scheme with
-  | Ftcs -> assert false (* no implicit operator in FTCS *)
-  | Imex theta ->
-    ( shifted ((1. -. theta) *. dt) l,
-      Tridiag.factorize (shifted (-.(theta *. dt)) l) )
-  | Strang _ ->
-    (shifted (dt /. 2.) l, Tridiag.factorize (shifted (-.(dt /. 2.)) l))
-
-let ops_for ws l scheme dt =
-  if dt = ws.w_dt_macro then (
-    match ws.w_ops with
-    | Some ops ->
-      ws.w_reuses <- ws.w_reuses + 1;
-      ops
-    | None ->
-      let ops = build_ops l scheme dt in
-      ws.w_ops <- Some ops;
-      ws.w_rebuilds <- ws.w_rebuilds + 1;
-      ops)
-  else begin
-    ws.w_rebuilds <- ws.w_rebuilds + 1;
-    build_ops l scheme dt
-  end
-
-(* Allocation-free step into [ws.w_next], then a buffer swap.  Each
-   branch performs the reference stepper's floating-point operations in
-   the same order (and calls [p.reaction] / [react] in the same cell
-   order), so outputs are bit-identical; only the array churn is gone. *)
-let step_ws p xs df l scheme ws t dt =
-  let n = p.nx in
-  let u = ws.w_u and next = ws.w_next in
-  (match scheme with
-  | Ftcs ->
-    for i = 0 to n - 1 do
-      let flux_right = if i = n - 1 then 0. else df.(i) *. (u.(i + 1) -. u.(i)) in
-      let flux_left = if i = 0 then 0. else df.(i - 1) *. (u.(i) -. u.(i - 1)) in
-      let lu = (flux_right -. flux_left) /. ws.w_h2w.(i) in
-      let x = xs.(i) in
-      let ui = u.(i) in
-      let k1 = reaction_eval p.reaction ~x ~t ~u:ui in
-      let k2 = reaction_eval p.reaction ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-      next.(i) <- ui +. (dt *. lu) +. (dt *. (k1 +. k2) /. 2.)
-    done
-  | Imex _ ->
-    let exp_op, imp = ops_for ws l scheme dt in
-    Tridiag.mv_into exp_op u ~dst:ws.w_rhs;
-    for i = 0 to n - 1 do
-      let x = xs.(i) in
-      let ui = u.(i) in
-      let k1 = reaction_eval p.reaction ~x ~t ~u:ui in
-      let k2 = reaction_eval p.reaction ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-      ws.w_rhs.(i) <- ws.w_rhs.(i) +. (dt *. (k1 +. k2) /. 2.)
-    done;
-    Tridiag.solve_factored imp ~src:ws.w_rhs ~dst:next
-  | Strang react ->
-    let half = dt /. 2. in
-    let exp_op, imp = ops_for ws l scheme dt in
-    let stage = ws.w_stage in
-    for i = 0 to n - 1 do
-      stage.(i) <- react ~x:xs.(i) ~t ~dt:half ~u:u.(i)
-    done;
-    Tridiag.mv_into exp_op stage ~dst:ws.w_rhs;
-    Tridiag.solve_factored imp ~src:ws.w_rhs ~dst:stage;
-    for i = 0 to n - 1 do
-      next.(i) <- react ~x:xs.(i) ~t:(t +. half) ~dt:half ~u:stage.(i)
-    done);
-  ws.w_u <- next;
-  ws.w_next <- u
-
-(* --- solver entry point ------------------------------------------ *)
-
-let reference_env_var = "DLOSN_BENCH_REFERENCE_SOLVER"
-
-let use_reference =
-  ref
-    (match Sys.getenv_opt reference_env_var with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false)
-
-let set_use_reference_stepper b = use_reference := b
-let use_reference_stepper () = !use_reference
-
-let m_solves = Obs.Metrics.counter "pde.solves"
-let m_steps = Obs.Metrics.counter "pde.steps"
-let m_ws_reuses = Obs.Metrics.counter "pde.workspace_reuses"
-let m_ws_rebuilds = Obs.Metrics.counter "pde.factor_rebuilds"
-let m_solve_ns = Obs.Metrics.histogram "pde.solve_ns"
-let m_step_ns = Obs.Metrics.histogram "pde.step_ns"
-
-let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
+let check_args fn scheme dt problems =
   assert (dt > 0.);
-  (match scheme with
+  match scheme with
   | Imex theta ->
     if theta < 0.5 || theta > 1. then
-      invalid_arg "Pde.solve: theta must be in [0.5, 1]"
-  | Ftcs | Strang _ -> ());
-  let reference =
-    match reference with Some b -> b | None -> !use_reference
-  in
-  let xs = grid p in
-  let df = face_diffusion p xs in
-  let l = operator_tridiag p df in
-  let dt_macro =
-    match scheme with
-    | Ftcs ->
-      let cfl = cfl_of p xs in
-      if Float.is_finite cfl then Float.min dt (0.9 *. cfl) else dt
-    | Imex _ | Strang _ -> dt
-  in
-  (* Timing syscalls only happen when observability is on; the numeric
-     path is untouched either way. *)
-  let obs_on = Obs.enabled () in
-  let solve_start = if obs_on then Obs.now_ns () else 0 in
-  let steps = ref 0 in
-  let u0 = Array.map p.initial xs in
-  let ws = if reference then None else Some (make_workspace p u0 dt_macro) in
-  let u = ref u0 and t = ref p.t0 in
-  let advance step_dt =
-    match ws with
-    | None -> u := step p xs df l scheme !t step_dt !u
-    | Some w -> step_ws p xs df l scheme w !t step_dt
-  in
-  let current () = match ws with None -> !u | Some w -> w.w_u in
-  let snapshots = ref [ (p.t0, Array.copy u0) ] in
-  Array.iter
-    (fun target ->
+      invalid_arg (fn ^ ": theta must be in [0.5, 1]")
+  | Strang ->
+    if Array.exists (fun p -> match p.reaction with Custom _ -> true | _ -> false)
+         problems
+    then
+      invalid_arg
+        (fn ^ ": Strang needs a Logistic or Linear reaction (no exact \
+               flow derives from a Custom closure)")
+  | Ftcs -> ()
+
+(* March from [t0] through the snapshot [times]: macro steps of
+   [dt_macro], shortened to land exactly on each target, then
+   [record j] for the j-th target (1-based; index 0 is [t0]).
+   Returns the number of steps taken. *)
+let march fn ~t0 ~dt_macro ~times ~advance ~record =
+  let t = ref t0 and steps = ref 0 in
+  Array.iteri
+    (fun j target ->
       if target < !t -. 1e-12 then
-        invalid_arg "Pde.solve: times must be increasing and >= t0";
+        invalid_arg (fn ^ ": times must be increasing and >= t0");
       while target -. !t > 1e-12 do
         let step_dt = Float.min dt_macro (target -. !t) in
-        if obs_on then begin
-          let t0 = Obs.now_ns () in
-          advance step_dt;
-          Obs.Metrics.observe m_step_ns (float_of_int (Obs.now_ns () - t0))
-        end
-        else advance step_dt;
+        advance !t step_dt;
         incr steps;
         t := !t +. step_dt
       done;
       t := target;
-      snapshots := (target, Array.copy (current ())) :: !snapshots)
+      record (j + 1))
     times;
-  if obs_on then begin
-    Obs.Metrics.incr m_solves;
-    Obs.Metrics.incr ~by:!steps m_steps;
-    (match ws with
-    | Some w ->
-      Obs.Metrics.incr ~by:w.w_reuses m_ws_reuses;
-      Obs.Metrics.incr ~by:w.w_rebuilds m_ws_rebuilds
-    | None -> ());
-    Obs.Metrics.observe m_solve_ns (float_of_int (Obs.now_ns () - solve_start))
-  end;
-  let snaps = Array.of_list (List.rev !snapshots) in
-  {
-    xs;
-    ts = Array.map fst snaps;
-    values = Array.map snd snaps;
-  }
+  !steps
 
-(* --- fused panel path -------------------------------------------- *)
+let solve_reference ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
+  check_args "Pde.solve_reference" scheme dt [| p |];
+  let xs = grid p in
+  let df = face_diffusion p xs in
+  let l = operator_tridiag p df in
+  let flow =
+    match scheme with
+    | Strang -> exact_flow p.reaction
+    | Ftcs | Imex _ -> fun ~t:_ ~dt:_ ~u -> u
+  in
+  let u = ref (Array.map p.initial xs) in
+  let values = Array.make (Array.length times + 1) [||] in
+  let record j = values.(j) <- Array.copy !u in
+  record 0;
+  ignore
+    (march "Pde.solve_reference" ~t0:p.t0
+       ~dt_macro:(macro_step p xs scheme dt) ~times
+       ~advance:(fun t dt -> u := step p xs df l scheme flow t dt !u)
+       ~record);
+  { xs; ts = Array.append [| p.t0 |] times; values }
+
+(* --- panel stepper ------------------------------------------------ *)
 
 (* A panel steps S problems sharing (domain, grid, t0, dt, scheme)
    through the time loop in lockstep: one batched Thomas sweep per
@@ -371,55 +232,12 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
    x-independent per-step scalars (r(t), Simpson integrals of r, their
    exponentials) are hoisted out of the cell loops once per story, and
    the [Logistic]/[Linear] reactions run as unboxed float arithmetic.
-   Column [s] of the result is bit-identical to [solve] on story [s]
-   alone — the loop interchange never mixes stories, the hoisted
-   scalars are exactly the values the scalar path computes per cell
-   (or memoizes, for the Strang Simpson integral), and every batched
-   kernel replicates its scalar counterpart's operation order. *)
-
-type panel_story = {
-  ps_diffusion : float -> float;
-  ps_reaction : reaction;
-  ps_initial : float -> float;
-}
-
-type panel_problem = {
-  pp_xl : float;
-  pp_xr : float;
-  pp_nx : int;
-  pp_t0 : float;
-  pp_stories : panel_story array;
-}
-
-type panel_scheme = Panel_imex of float | Panel_strang
-
-let problem_of_story pp st =
-  {
-    xl = pp.pp_xl;
-    xr = pp.pp_xr;
-    nx = pp.pp_nx;
-    t0 = pp.pp_t0;
-    diffusion = st.ps_diffusion;
-    reaction = st.ps_reaction;
-    initial = st.ps_initial;
-  }
-
-(* The scalar scheme a panel story runs under — also the definition of
-   what the fused path must reproduce.  Strang panels derive the exact
-   reaction flow from the reaction shape; a [Custom] closure carries no
-   derivable flow, so it is rejected (use [Panel_imex], where the
-   closure path applies, or the scalar [solve] with an explicit
-   [Strang] step). *)
-let scalar_scheme_of_story scheme st =
-  match scheme with
-  | Panel_imex theta -> Imex theta
-  | Panel_strang -> (
-    match st.ps_reaction with
-    | Logistic { r; k } -> Strang (logistic_reaction_step ~r ~k)
-    | Linear { r } -> Strang (linear_reaction_step ~r)
-    | Custom _ ->
-      invalid_arg
-        "Pde.solve_panel: Strang panels need a Logistic or Linear reaction")
+   Column [s] of the result is bit-identical to [solve_reference] on
+   story [s] alone — the loop interchange never mixes stories, the
+   hoisted scalars are exactly the values the reference computes per
+   cell (or memoizes, for the Strang Simpson integral), and every
+   batched kernel replicates its scalar counterpart's operation
+   order.  [solve] is a width-1 panel. *)
 
 (* Reaction tags for the per-cell dispatch (int match, no closure). *)
 let tag_logistic = 0
@@ -439,7 +257,8 @@ type panel_bufs = {
   mutable pb_next : Tridiag.panel;
   pb_rhs : Tridiag.panel;
   pb_stage : Tridiag.panel;
-  (* the FV operator L, per story *)
+  (* face diffusivities (FTCS flux form) and the FV operator L *)
+  pb_df : Tridiag.panel;
   pb_l_sub : Tridiag.panel;
   pb_l_diag : Tridiag.panel;
   pb_l_sup : Tridiag.panel;
@@ -471,6 +290,7 @@ let make_panel_bufs ~nx ~ns =
     pb_next = p ();
     pb_rhs = p ();
     pb_stage = p ();
+    pb_df = p ();
     pb_l_sub = p ();
     pb_l_diag = p ();
     pb_l_sup = p ();
@@ -504,6 +324,9 @@ let panel_workspace () = { pw_bufs = None; pw_reuses = 0; pw_rebuilds = 0 }
 
 let panel_workspace_stats ws = (ws.pw_reuses, ws.pw_rebuilds)
 
+let m_solves = Obs.Metrics.counter "pde.solves"
+let m_steps = Obs.Metrics.counter "pde.steps"
+let m_solve_ns = Obs.Metrics.histogram "pde.solve_ns"
 let m_panel_solves = Obs.Metrics.counter "pde.panel_solves"
 let m_panel_stories = Obs.Metrics.counter "pde.panel_stories"
 let m_panel_steps = Obs.Metrics.counter "pde.panel_steps"
@@ -511,7 +334,7 @@ let m_panel_reuses = Obs.Metrics.counter "pde.panel_reuses"
 let m_panel_rebuilds = Obs.Metrics.counter "pde.panel_rebuilds"
 let m_panel_solve_ns = Obs.Metrics.histogram "pde.panel_solve_ns"
 
-let ensure_panel_bufs ws ~nx ~ns ~obs_on =
+let ensure_panel_bufs ws ~obs_on ~nx ~ns =
   match ws.pw_bufs with
   | Some b when b.pb_nx = nx && b.pb_ns = ns ->
     ws.pw_reuses <- ws.pw_reuses + 1;
@@ -526,15 +349,16 @@ let ensure_panel_bufs ws ~nx ~ns ~obs_on =
     b
 
 (* Fill the shifted operator panels and factorize the implicit one for
-   step size [dt].  Coefficients replicate [build_ops]/[shifted]: the
-   per-element expressions are identical, so the factorization matches
-   the scalar one bit for bit. *)
+   step size [dt].  Coefficients replicate [shifted]: the per-element
+   expressions are identical, so the factorization matches the one
+   [Tridiag.solve] computes bit for bit. *)
 let panel_ops b scheme dt =
   if not (dt = b.pb_ops_dt) then begin
     let ce, ci =
       match scheme with
-      | Panel_imex theta -> ((1. -. theta) *. dt, -.(theta *. dt))
-      | Panel_strang -> (dt /. 2., -.(dt /. 2.))
+      | Imex theta -> ((1. -. theta) *. dt, -.(theta *. dt))
+      | Strang -> (dt /. 2., -.(dt /. 2.))
+      | Ftcs -> assert false (* no implicit operator *)
     in
     let nx = b.pb_nx and ns = b.pb_ns in
     let open Bigarray.Array2 in
@@ -560,224 +384,243 @@ let panel_ops b scheme dt =
     b.pb_ops_dt <- dt
   end
 
+(* r(t) and r(t+dt) per story, for the RK2 reaction increment (identical
+   floats to the reference's per-cell calls: r is deterministic in t). *)
+let hoist_rates b problems t dt =
+  for s = 0 to b.pb_ns - 1 do
+    match problems.(s).reaction with
+    | Logistic { r; k } ->
+      b.pb_rt.(s) <- r t;
+      b.pb_rt2.(s) <- r (t +. dt);
+      b.pb_k.(s) <- k
+    | Linear { r } ->
+      b.pb_rt.(s) <- r t;
+      b.pb_rt2.(s) <- r (t +. dt)
+    | Custom _ -> ()
+  done
+
+(* The reference's [reaction_rk2] cell for story [s], with the named
+   shapes unboxed (same association as [reaction_eval]).  Inlined so
+   the float result never boxes. *)
+let[@inline] rk2_increment b problems s ~x ~t ~dt ui =
+  let tag = b.pb_tag.(s) in
+  if tag = tag_logistic then begin
+    let k = b.pb_k.(s) in
+    let k1 = b.pb_rt.(s) *. ui *. (1. -. (ui /. k)) in
+    let u2 = ui +. (dt *. k1) in
+    let k2 = b.pb_rt2.(s) *. u2 *. (1. -. (u2 /. k)) in
+    dt *. (k1 +. k2) /. 2.
+  end
+  else if tag = tag_linear then begin
+    let k1 = b.pb_rt.(s) *. ui in
+    let k2 = b.pb_rt2.(s) *. (ui +. (dt *. k1)) in
+    dt *. (k1 +. k2) /. 2.
+  end
+  else begin
+    let f =
+      match problems.(s).reaction with
+      | Custom f -> f
+      | Logistic _ | Linear _ -> assert false
+    in
+    let k1 = f ~x ~t ~u:ui in
+    let k2 = f ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
+    dt *. (k1 +. k2) /. 2.
+  end
+
+(* Exact-flow factor exp(±∫r) over [a, a+half] per story: x-independent,
+   so computed once per story — exactly the value the reference's
+   one-slot Simpson memo hands every cell. *)
+let hoist_flows b problems a half =
+  for s = 0 to b.pb_ns - 1 do
+    match problems.(s).reaction with
+    | Logistic { r; k } ->
+      b.pb_flow.(s) <- exp (-.Quadrature.simpson r ~a ~b:(a +. half) ~n:8);
+      b.pb_k.(s) <- k
+    | Linear { r } ->
+      b.pb_flow.(s) <- exp (Quadrature.simpson r ~a ~b:(a +. half) ~n:8)
+    | Custom _ -> assert false (* rejected by [check_args] *)
+  done
+
+(* Half reaction step [src] -> [dst] with the hoisted flow factors:
+   Ode.logistic_varying_r's closed form, or [u e^{∫r}]. *)
+let apply_flows b ~(src : Tridiag.panel) ~(dst : Tridiag.panel) =
+  let open Bigarray.Array2 in
+  for i = 0 to b.pb_nx - 1 do
+    for s = 0 to b.pb_ns - 1 do
+      let ui = unsafe_get src i s in
+      let v =
+        if ui = 0. then 0.
+        else if b.pb_tag.(s) = tag_logistic then
+          let k = b.pb_k.(s) in
+          k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
+        else ui *. b.pb_flow.(s)
+      in
+      unsafe_set dst i s v
+    done
+  done
+
 (* One lockstep macro step of size [dt] for the whole panel, into
-   [pb_next], then a buffer swap. *)
-let step_panel b stories xs scheme t dt =
+   [pb_next], then a buffer swap.  [h2w] is dx^2 times the cell
+   weight, per cell. *)
+let step_panel b problems xs h2w scheme t dt =
   let nx = b.pb_nx and ns = b.pb_ns in
   let open Bigarray.Array2 in
-  panel_ops b scheme dt;
   (match scheme with
-  | Panel_imex _ ->
+  | Ftcs ->
+    (* the reference's [apply_operator] flux form plus RK2 reaction *)
+    hoist_rates b problems t dt;
+    let u = b.pb_u in
+    for i = 0 to nx - 1 do
+      let x = xs.(i) and h2wi = h2w.(i) in
+      for s = 0 to ns - 1 do
+        let ui = unsafe_get u i s in
+        let flux_right =
+          if i = nx - 1 then 0.
+          else unsafe_get b.pb_df i s *. (unsafe_get u (i + 1) s -. ui)
+        in
+        let flux_left =
+          if i = 0 then 0.
+          else unsafe_get b.pb_df (i - 1) s *. (ui -. unsafe_get u (i - 1) s)
+        in
+        let lu = (flux_right -. flux_left) /. h2wi in
+        unsafe_set b.pb_next i s
+          (ui +. (dt *. lu) +. rk2_increment b problems s ~x ~t ~dt ui)
+      done
+    done
+  | Imex _ ->
     (* rhs <- (I + cE L) u, then += RK2 (Heun) reaction increment *)
+    panel_ops b scheme dt;
     Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
       ~src:b.pb_u ~dst:b.pb_rhs;
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; k } ->
-        b.pb_rt.(s) <- r t;
-        b.pb_rt2.(s) <- r (t +. dt);
-        b.pb_k.(s) <- k
-      | Linear { r } ->
-        b.pb_rt.(s) <- r t;
-        b.pb_rt2.(s) <- r (t +. dt)
-      | Custom _ -> ()
-    done;
+    hoist_rates b problems t dt;
     for i = 0 to nx - 1 do
       let x = xs.(i) in
       for s = 0 to ns - 1 do
         let ui = unsafe_get b.pb_u i s in
-        let tag = b.pb_tag.(s) in
-        let dr =
-          if tag = tag_logistic then begin
-            (* same association as [reaction_eval]'s Logistic arm, with
-               r(t)/r(t+dt) hoisted per story (identical floats: r is
-               deterministic in t) *)
-            let k = b.pb_k.(s) in
-            let k1 = b.pb_rt.(s) *. ui *. (1. -. (ui /. k)) in
-            let u2 = ui +. (dt *. k1) in
-            let k2 = b.pb_rt2.(s) *. u2 *. (1. -. (u2 /. k)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-          else if tag = tag_linear then begin
-            let k1 = b.pb_rt.(s) *. ui in
-            let k2 = b.pb_rt2.(s) *. (ui +. (dt *. k1)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-          else begin
-            let f =
-              match stories.(s).ps_reaction with
-              | Custom f -> f
-              | Logistic _ | Linear _ -> assert false
-            in
-            let k1 = f ~x ~t ~u:ui in
-            let k2 = f ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-        in
-        unsafe_set b.pb_rhs i s (unsafe_get b.pb_rhs i s +. dr)
+        unsafe_set b.pb_rhs i s
+          (unsafe_get b.pb_rhs i s +. rk2_increment b problems s ~x ~t ~dt ui)
       done
     done;
     Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
       ~src:b.pb_rhs ~dst:b.pb_next
-  | Panel_strang ->
+  | Strang ->
+    panel_ops b scheme dt;
     let half = dt /. 2. in
-    (* First half reaction step at t.  The flow factor exp(±∫r) is
-       x-independent: computed once per story, exactly the value the
-       scalar path's one-slot Simpson memo hands every cell. *)
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; k } ->
-        b.pb_flow.(s) <-
-          exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-        b.pb_k.(s) <- k
-      | Linear { r } ->
-        b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8)
-      | Custom _ -> assert false (* rejected before stepping *)
-    done;
-    for i = 0 to nx - 1 do
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_u i s in
-        let v =
-          if ui = 0. then 0.
-          else if b.pb_tag.(s) = tag_logistic then
-            (* Ode.logistic_varying_r's closed form, flow hoisted *)
-            let k = b.pb_k.(s) in
-            k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
-          else ui *. b.pb_flow.(s)
-        in
-        unsafe_set b.pb_stage i s v
-      done
-    done;
+    hoist_flows b problems t half;
+    apply_flows b ~src:b.pb_u ~dst:b.pb_stage;
     (* Crank--Nicolson diffusion over the full step *)
     Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
       ~src:b.pb_stage ~dst:b.pb_rhs;
     Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
       ~src:b.pb_rhs ~dst:b.pb_stage;
-    (* Second half reaction step at t + half (integral over
-       [t+half, (t+half)+half], matching the scalar call order). *)
-    let t2 = t +. half in
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; _ } ->
-        b.pb_flow.(s) <-
-          exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
-      | Linear { r } ->
-        b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
-      | Custom _ -> assert false
-    done;
-    for i = 0 to nx - 1 do
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_stage i s in
-        let v =
-          if ui = 0. then 0.
-          else if b.pb_tag.(s) = tag_logistic then
-            let k = b.pb_k.(s) in
-            k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
-          else ui *. b.pb_flow.(s)
-        in
-        unsafe_set b.pb_next i s v
-      done
-    done);
+    (* second half step: integral over [t+half, (t+half)+half], the
+       reference's call order *)
+    hoist_flows b problems (t +. half) half;
+    apply_flows b ~src:b.pb_stage ~dst:b.pb_next);
   let u = b.pb_u in
   b.pb_u <- b.pb_next;
   b.pb_next <- u
 
-let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?reference ?workspace
-    pp ~times =
-  assert (dt > 0.);
-  (match scheme with
-  | Panel_imex theta ->
-    if theta < 0.5 || theta > 1. then
-      invalid_arg "Pde.solve_panel: theta must be in [0.5, 1]"
-  | Panel_strang -> ());
-  let stories = pp.pp_stories in
-  let ns = Array.length stories in
+(* Solve a validated, non-empty panel on the buffers [bufs ~nx ~ns]
+   hands back.  Returns the per-story solutions and the step count. *)
+let run_panel fn ~bufs ~scheme ~dt problems ~times =
+  let p0 = problems.(0) in
+  let nx = p0.nx and ns = Array.length problems in
+  Array.iter
+    (fun p ->
+      if p.xl <> p0.xl || p.xr <> p0.xr || p.nx <> nx || p.t0 <> p0.t0 then
+        invalid_arg (fn ^ ": panel problems must share (xl, xr, nx, t0)"))
+    problems;
+  (* grid once per panel: every story shares (xl, xr, nx) *)
+  let xs = grid p0 in
+  let dt_macro = macro_step p0 xs scheme dt in
+  Array.iter
+    (fun p ->
+      if macro_step p xs scheme dt <> dt_macro then
+        invalid_arg
+          (fn ^ ": FTCS panel stories must share the CFL-clipped macro step"))
+    problems;
+  let b = bufs ~nx ~ns in
+  let open Bigarray.Array2 in
+  (* per-story face diffusivities, FV operator L and initial state,
+     packed into panels (packing copies exact values — nothing is
+     recomputed) *)
+  Array.iteri
+    (fun s p ->
+      let df = face_diffusion p xs in
+      let l = operator_tridiag p df in
+      for i = 0 to nx - 1 do
+        unsafe_set b.pb_l_diag i s l.Tridiag.diag.(i);
+        unsafe_set b.pb_u i s (p.initial xs.(i))
+      done;
+      for i = 0 to nx - 2 do
+        unsafe_set b.pb_df i s df.(i);
+        unsafe_set b.pb_l_sub i s l.Tridiag.sub.(i);
+        unsafe_set b.pb_l_sup i s l.Tridiag.sup.(i)
+      done;
+      b.pb_tag.(s) <-
+        (match p.reaction with
+        | Logistic _ -> tag_logistic
+        | Linear _ -> tag_linear
+        | Custom _ -> tag_custom))
+    problems;
+  let h2 = dx p0 ** 2. in
+  let h2w = Array.init nx (fun i -> h2 *. cell_weight nx i) in
+  let values = Array.init ns (fun _ -> Array.make (Array.length times + 1) [||]) in
+  let record j =
+    Array.iteri
+      (fun s v -> v.(j) <- Array.init nx (fun i -> unsafe_get b.pb_u i s))
+      values
+  in
+  record 0;
+  let steps =
+    march fn ~t0:p0.t0 ~dt_macro ~times
+      ~advance:(fun t dt -> step_panel b problems xs h2w scheme t dt)
+      ~record
+  in
+  ( Array.map
+      (fun values -> { xs; ts = Array.append [| p0.t0 |] times; values })
+      values,
+    steps )
+
+let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
+  check_args "Pde.solve" scheme dt [| p |];
+  (* Timing syscalls only happen when observability is on; the numeric
+     path is untouched either way. *)
+  let obs_on = Obs.enabled () in
+  let start = if obs_on then Obs.now_ns () else 0 in
+  (* fresh buffers per call: solves run concurrently on server workers
+     and pool domains *)
+  let sols, steps =
+    run_panel "Pde.solve" ~bufs:make_panel_bufs ~scheme ~dt [| p |] ~times
+  in
+  if obs_on then begin
+    Obs.Metrics.incr m_solves;
+    Obs.Metrics.incr ~by:steps m_steps;
+    Obs.Metrics.observe m_solve_ns (float_of_int (Obs.now_ns () - start))
+  end;
+  sols.(0)
+
+let solve_panel ?(scheme = Imex 0.5) ?(dt = 1e-3) ?workspace problems ~times =
+  check_args "Pde.solve_panel" scheme dt problems;
+  let ns = Array.length problems in
   if ns = 0 then [||]
   else begin
-    (* Validate every story's scheme pairing up front (this also
-       rejects Custom-under-Strang before any work happens). *)
-    let scalar_schemes =
-      Array.map (fun st -> scalar_scheme_of_story scheme st) stories
+    let obs_on = Obs.enabled () in
+    let start = if obs_on then Obs.now_ns () else 0 in
+    let ws = match workspace with Some w -> w | None -> panel_workspace () in
+    let sols, steps =
+      run_panel "Pde.solve_panel" ~bufs:(ensure_panel_bufs ws ~obs_on) ~scheme
+        ~dt problems ~times
     in
-    let reference =
-      match reference with Some b -> b | None -> !use_reference
-    in
-    if reference then
-      (* The oracle: the panel is definitionally S independent scalar
-         solves.  Used by the bit-identity gates. *)
-      Array.mapi
-        (fun s st ->
-          solve ~scheme:scalar_schemes.(s) ~dt ~reference:true
-            (problem_of_story pp st) ~times)
-        stories
-    else begin
-      let obs_on = Obs.enabled () in
-      let solve_start = if obs_on then Obs.now_ns () else 0 in
-      let nx = pp.pp_nx in
-      (* grid + operators once per panel, not per story: every story
-         shares (xl, xr, nx), so [grid] is computed a single time. *)
-      let p0 = problem_of_story pp stories.(0) in
-      let xs = grid p0 in
-      let ws = match workspace with Some w -> w | None -> panel_workspace () in
-      let b = ensure_panel_bufs ws ~nx ~ns ~obs_on in
-      let open Bigarray.Array2 in
-      (* per-story FV operator L and initial state, packed into panels
-         (packing copies exact values — nothing is recomputed) *)
-      Array.iteri
-        (fun s st ->
-          let p = problem_of_story pp st in
-          let df = face_diffusion p xs in
-          let l = operator_tridiag p df in
-          for i = 0 to nx - 1 do
-            unsafe_set b.pb_l_diag i s l.Tridiag.diag.(i);
-            unsafe_set b.pb_u i s (st.ps_initial xs.(i))
-          done;
-          for i = 0 to nx - 2 do
-            unsafe_set b.pb_l_sub i s l.Tridiag.sub.(i);
-            unsafe_set b.pb_l_sup i s l.Tridiag.sup.(i)
-          done;
-          b.pb_tag.(s) <-
-            (match st.ps_reaction with
-            | Logistic _ -> tag_logistic
-            | Linear _ -> tag_linear
-            | Custom _ -> tag_custom))
-        stories;
-      let dt_macro = dt in
-      let steps = ref 0 in
-      let t = ref pp.pp_t0 in
-      let snapshot_of s = Array.init nx (fun i -> unsafe_get b.pb_u i s) in
-      let snapshots = Array.map (fun _ -> ref []) stories in
-      Array.iteri
-        (fun s _ -> snapshots.(s) := [ (pp.pp_t0, snapshot_of s) ])
-        stories;
-      Array.iter
-        (fun target ->
-          if target < !t -. 1e-12 then
-            invalid_arg "Pde.solve: times must be increasing and >= t0";
-          while target -. !t > 1e-12 do
-            let step_dt = Float.min dt_macro (target -. !t) in
-            step_panel b stories xs scheme !t step_dt;
-            incr steps;
-            t := !t +. step_dt
-          done;
-          t := target;
-          Array.iteri
-            (fun s snaps -> snaps := (target, snapshot_of s) :: !snaps)
-            snapshots)
-        times;
-      if obs_on then begin
-        Obs.Metrics.incr m_panel_solves;
-        Obs.Metrics.incr ~by:ns m_panel_stories;
-        Obs.Metrics.incr ~by:!steps m_panel_steps;
-        Obs.Metrics.observe m_panel_solve_ns
-          (float_of_int (Obs.now_ns () - solve_start))
-      end;
-      Array.map
-        (fun snaps ->
-          let arr = Array.of_list (List.rev !snaps) in
-          { xs; ts = Array.map fst arr; values = Array.map snd arr })
-        snapshots
-    end
+    if obs_on then begin
+      Obs.Metrics.incr m_panel_solves;
+      Obs.Metrics.incr ~by:ns m_panel_stories;
+      Obs.Metrics.incr ~by:steps m_panel_steps;
+      Obs.Metrics.observe m_panel_solve_ns
+        (float_of_int (Obs.now_ns () - start))
+    end;
+    sols
   end
 
 (* Top level, not per call: the old per-call [clampf] closure was an

@@ -20,14 +20,18 @@
       reaction explicit.
     - {b Strang}: symmetric operator splitting — half reaction step,
       full Crank--Nicolson diffusion step, half reaction step — where
-      the reaction sub-step is user-supplied and may be exact (see
-      [logistic_reaction_step]). *)
+      the reaction sub-step is the exact flow derived from the
+      reaction shape ([Logistic] or [Linear]).
+
+    Every solve runs the panel stepper ({!solve} is a panel of one
+    story); {!solve_reference} keeps the original per-step-allocating
+    stepper as the oracle the panel stepper must match bit for bit. *)
 
 (** The reaction term [f(x, t, u)], specialised by shape.  [Logistic]
     and [Linear] name the paper's two models so the solver's hot loops
     can dispatch once and run unboxed float arithmetic per cell;
     [Custom] keeps the fully general closure (with its per-call float
-    boxing).  All solve paths evaluate the named shapes as exactly
+    boxing).  Both steppers evaluate the named shapes as exactly
     [r t *. u *. (1. -. (u /. k))] and [r t *. u] — building a
     [Custom] closure with the same body produces the same bits, just
     slower.  [r] must be a pure function of [t] (it is hoisted out of
@@ -52,13 +56,15 @@ type problem = {
   t0 : float;
 }
 
-type reaction_step = x:float -> t:float -> dt:float -> u:float -> float
-(** Exact or approximate flow of [du/dt = f(x, t, u)] over [\[t, t+dt\]]. *)
-
 type scheme =
   | Ftcs
   | Imex of float  (** theta in [\[0.5, 1\]]; 0.5 = Crank--Nicolson *)
-  | Strang of reaction_step
+  | Strang
+      (** Strang splitting with the {e exact} reaction flow derived
+          from the reaction shape ([Logistic] -> closed-form logistic
+          flow, [Linear] -> [u e^{∫r}], the integral of [r] by
+          Simpson's rule).  [Custom] reactions are rejected
+          ([Invalid_argument]): no flow derives from a closure. *)
 
 type solution = {
   xs : float array;  (** grid, length [nx] *)
@@ -72,50 +78,25 @@ val cfl_limit : problem -> float
 (** Largest stable explicit time step for the diffusion term. *)
 
 val solve :
-  ?scheme:scheme -> ?dt:float -> ?reference:bool ->
-  problem -> times:float array -> solution
+  ?scheme:scheme -> ?dt:float -> problem -> times:float array -> solution
 (** [solve problem ~times] marches from [t0] and records a snapshot at
     [t0] and at each requested (strictly increasing, [>= t0]) time.
     Default scheme [Imex 0.5], default [dt = 1e-3] time units (FTCS
     additionally sub-steps to stay within the CFL limit).
 
-    By default the solver runs its allocation-free workspace path:
-    state is double-buffered, rhs/stage scratch is reused, and the
-    implicit schemes build the shifted operators and their Thomas
-    factorization once per macro step size (ragged final partial steps
-    before a snapshot target rebuild throwaway operators).  The output
-    is {e bit-identical} to the retained per-step-allocating reference
-    stepper — same floating-point operations in the same order —
-    enforced by [test/test_pde_perf.ml].  Pass [~reference:true] (or
-    flip {!set_use_reference_stepper}) to run the reference stepper
-    instead, e.g. for before/after benchmarking. *)
+    This is [(solve_panel [|problem|] ~times).(0)] on fresh buffers
+    (never shared across calls, so concurrent solves are safe),
+    counted under the [pde.solves] / [pde.steps] / [pde.solve_ns]
+    metrics rather than the panel ones. *)
 
-val reference_env_var : string
-(** ["DLOSN_BENCH_REFERENCE_SOLVER"] — setting it to [1]/[true]/[yes]
-    makes every [solve] default to the reference stepper (read once at
-    module init). *)
-
-val use_reference_stepper : unit -> bool
-val set_use_reference_stepper : bool -> unit
-(** Process-wide default for [solve]'s [?reference] argument; the CLI
-    [--no-solver-cache] escape hatch sets it.  Flip it before spawning
-    worker domains, not concurrently with solves. *)
-
-val logistic_reaction_step : r:(float -> float) -> k:float -> reaction_step
-(** Exact flow of the logistic reaction [u' = r(t) u (1 - u/K)], using
-    the closed form with the integral of [r] evaluated by Simpson's
-    rule on the sub-step.  Intended for [Strang].  The returned closure
-    memoizes the (x-independent) integral per [(t, dt)], so it is
-    stateful: build one per solve and do not share it across domains. *)
-
-val linear_reaction_step : r:(float -> float) -> reaction_step
-(** Exact flow of the {e linear} reaction [u' = r(t) u] (the authors'
-    follow-up linear diffusive model, arXiv:1310.0505):
-    [u e^{int_t^{t+dt} r}], with the integral evaluated by Simpson's
-    rule on the sub-step.  Intended for [Strang].  Like
-    {!logistic_reaction_step} the closure memoizes the x-independent
-    integral per [(t, dt)], so it is stateful: build one per solve and
-    do not share it across domains. *)
+val solve_reference :
+  ?scheme:scheme -> ?dt:float -> problem -> times:float array -> solution
+(** The oracle: same contract and defaults as {!solve}, run by the
+    original stepper that allocates fresh arrays and operators every
+    step.  {!solve} and every {!solve_panel} column are
+    {e bit-identical} to it — same floating-point operations in the
+    same order — enforced per cell by test_pde_perf and the CI bench
+    gate.  For tests and benchmarks; records no metrics. *)
 
 (** {2 Fused panel solves}
 
@@ -126,36 +107,8 @@ val linear_reaction_step : r:(float -> float) -> reaction_step
     innermost loop walking contiguous memory, the x-independent
     per-step scalars (r(t), Simpson [∫r], their exponentials) are
     hoisted out of the cell loops, and [Logistic]/[Linear] reactions
-    run unboxed.  Story [s] of the result is {e bit-identical} to
-    {!solve} on that story alone (enforced by test_pde_perf and the CI
-    bench gate): batching reorders loops across independent stories
+    run unboxed.  Batching reorders loops across independent stories
     but never changes any story's floating-point operations. *)
-
-type panel_story = {
-  ps_diffusion : float -> float;
-  ps_reaction : reaction;
-  ps_initial : float -> float;
-}
-
-type panel_problem = {
-  pp_xl : float;
-  pp_xr : float;
-  pp_nx : int;
-  pp_t0 : float;
-  pp_stories : panel_story array;
-}
-
-type panel_scheme =
-  | Panel_imex of float  (** theta in [\[0.5, 1\]]; 0.5 = Crank--Nicolson *)
-  | Panel_strang
-      (** Strang splitting with the {e exact} reaction flow derived
-          from each story's reaction shape ([Logistic] -> closed-form
-          logistic flow, [Linear] -> [u e^{∫r}]).  [Custom] reactions
-          are rejected ([Invalid_argument]): no flow is derivable from
-          a closure — use [Panel_imex] or the scalar {!solve}. *)
-
-(** FTCS is deliberately absent: its CFL-bounded macro step depends on
-    each story's diffusion, so stories cannot march in lockstep. *)
 
 type panel_workspace
 (** Reusable panel buffer block (state, operators, factorization,
@@ -171,19 +124,20 @@ val panel_workspace_stats : panel_workspace -> int * int
 (** [(reuses, rebuilds)] over the workspace's lifetime. *)
 
 val solve_panel :
-  ?scheme:panel_scheme ->
+  ?scheme:scheme ->
   ?dt:float ->
-  ?reference:bool ->
   ?workspace:panel_workspace ->
-  panel_problem ->
+  problem array ->
   times:float array ->
   solution array
-(** [solve_panel pp ~times] solves every story of the panel over the
-    shared snapshot [times] (semantics per story exactly as {!solve};
-    defaults [Panel_imex 0.5], [dt = 1e-3]).  With [~reference:true]
-    (or the global reference default) each story runs the scalar
-    reference stepper instead — the definitional oracle for the
-    bit-identity gates.  An empty panel returns [[||]]. *)
+(** [solve_panel problems ~times] solves every problem over the shared
+    snapshot [times] (semantics per problem exactly as {!solve}).  The
+    problems must share [(xl, xr, nx, t0)]; diffusion, reaction and
+    initial profile are per story.  An FTCS panel additionally needs
+    every story to get the same CFL-clipped macro step.  Counted under
+    the [pde.panel_*] metrics.  An empty panel returns [[||]].
+    @raise Invalid_argument on a shape or FTCS step mismatch, or a
+    [Custom] reaction under [Strang]. *)
 
 val eval : solution -> x:float -> t:float -> float
 (** Bilinear interpolation in the snapshot table (clamped at the

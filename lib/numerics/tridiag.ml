@@ -31,46 +31,6 @@ let solve t b =
   done;
   x
 
-(* A precomputed Thomas factorization: [c] is the forward-swept
-   super-diagonal c' and [m] the pivots, exactly the values the direct
-   [solve] computes on every call.  [sub] aliases the source matrix's
-   sub-diagonal (the matrix must not be mutated while the factorization
-   is live).  [solve_factored] then performs only the O(n) d'-sweep and
-   back-substitution, with the same floating-point operations in the
-   same order as [solve] — outputs are bit-identical. *)
-type factored = { f_sub : float array; f_c : float array; f_m : float array }
-
-let factorize t =
-  let n = dim t in
-  let c = Array.make n 0. and m = Array.make n 0. in
-  let pivot0 = t.diag.(0) in
-  if Float.abs pivot0 < 1e-300 then raise Mat.Singular;
-  m.(0) <- pivot0;
-  c.(0) <- (if n > 1 then t.sup.(0) /. pivot0 else 0.);
-  for i = 1 to n - 1 do
-    let mi = t.diag.(i) -. (t.sub.(i - 1) *. c.(i - 1)) in
-    if Float.abs mi < 1e-300 then raise Mat.Singular;
-    m.(i) <- mi;
-    if i < n - 1 then c.(i) <- t.sup.(i) /. mi
-  done;
-  { f_sub = t.sub; f_c = c; f_m = m }
-
-let factored_dim f = Array.length f.f_m
-
-let solve_factored f ~src ~dst =
-  let n = factored_dim f in
-  assert (Array.length src = n && Array.length dst = n);
-  (* d'-sweep into dst (safe when src == dst: src.(i) is read before
-     dst.(i) is written and earlier cells already hold d'), then
-     back-substitution in place. *)
-  dst.(0) <- src.(0) /. f.f_m.(0);
-  for i = 1 to n - 1 do
-    dst.(i) <- (src.(i) -. (f.f_sub.(i - 1) *. dst.(i - 1))) /. f.f_m.(i)
-  done;
-  for i = n - 2 downto 0 do
-    dst.(i) <- dst.(i) -. (f.f_c.(i) *. dst.(i + 1))
-  done
-
 (* ---------------------------------------------------------------- *)
 (* Batched panels: S independent tridiagonal systems advanced in
    lockstep.  Storage is structure-of-arrays: a panel is a c_layout
@@ -144,9 +104,8 @@ let solve_factored_batch ~(sub : panel) ~(c : panel) ~(m : panel)
   check_panel "solve_factored_batch" src ~rows:n ~stories:ns;
   check_panel "solve_factored_batch" dst ~rows:n ~stories:ns;
   let open Bigarray.Array2 in
-  (* Same aliasing contract as [solve_factored]: [src == dst] is
-     allowed — row [i] of [src] is read before row [i] of [dst] is
-     written, and earlier rows already hold d'. *)
+  (* [src == dst] is allowed: row [i] of [src] is read before row [i]
+     of [dst] is written, and earlier rows already hold d'. *)
   for s = 0 to ns - 1 do
     unsafe_set dst 0 s (unsafe_get src 0 s /. unsafe_get m 0 s)
   done;
@@ -177,7 +136,7 @@ let mv_batch ~(sub : panel) ~(diag : panel) ~(sup : panel) ~(src : panel)
   let open Bigarray.Array2 in
   for i = 0 to n - 1 do
     for s = 0 to ns - 1 do
-      (* accumulation order matches [mv_into]: diag, then sub, then sup *)
+      (* accumulation order matches [mv]: diag, then sub, then sup *)
       let acc = ref (unsafe_get diag i s *. unsafe_get src i s) in
       if i > 0 then
         acc := !acc +. (unsafe_get sub (i - 1) s *. unsafe_get src (i - 1) s);
@@ -195,17 +154,6 @@ let mv t x =
       if i > 0 then acc := !acc +. (t.sub.(i - 1) *. x.(i - 1));
       if i < n - 1 then acc := !acc +. (t.sup.(i) *. x.(i + 1));
       !acc)
-
-let mv_into t x ~dst =
-  let n = dim t in
-  assert (Array.length x = n && Array.length dst = n);
-  assert (not (x == dst));
-  for i = 0 to n - 1 do
-    let acc = ref (t.diag.(i) *. x.(i)) in
-    if i > 0 then acc := !acc +. (t.sub.(i - 1) *. x.(i - 1));
-    if i < n - 1 then acc := !acc +. (t.sup.(i) *. x.(i + 1));
-    dst.(i) <- !acc
-  done
 
 let to_dense t =
   let n = dim t in

@@ -19,38 +19,6 @@ val solve : t -> Vec.t -> Vec.t
 (** [solve sys b] solves the tridiagonal system in [O(n)].
     @raise Mat.Singular on a (numerically) zero pivot. *)
 
-type factored
-(** A precomputed Thomas factorization (the c'-sweep of {!solve}):
-    amortises the forward elimination over many right-hand sides with
-    the same matrix, as in a time-stepping loop.  Shares the matrix's
-    sub-diagonal — do not mutate the matrix while the factorization is
-    in use. *)
-
-val factorize : t -> factored
-(** Runs the pivot sweep once.
-    @raise Mat.Singular on a (numerically) zero pivot. *)
-
-val factored_dim : factored -> int
-
-val solve_factored : factored -> src:Vec.t -> dst:Vec.t -> unit
-(** [solve_factored f ~src ~dst] solves into [dst] without allocating,
-    using only the d'-sweep and back-substitution.
-
-    {b Aliasing contract:} [src == dst] is explicitly {e allowed} (full
-    in-place solve) and produces the same bits as the out-of-place
-    call.  The d'-sweep reads [src.(i)] before writing [dst.(i)], and
-    once cell [i] is written the sweep only ever reads cells [< i],
-    which already hold d' under either aliasing; the back-substitution
-    then runs entirely in [dst].  {e Partial} overlap is impossible for
-    [float array]s (two arrays either alias fully or not at all), so
-    the two cases above are exhaustive.  This contract is locked in by
-    tests ("solve_factored in place" and "batch solve in place" in
-    test_pde_perf) and by {!solve_factored_batch}, which inherits it.
-
-    The result is bit-identical to [solve t src] for the matrix [f]
-    was built from: the remaining floating-point operations are the
-    same, in the same order. *)
-
 (** {2 Batched panels}
 
     S independent tridiagonal systems advanced in lockstep.  A panel
@@ -72,32 +40,31 @@ val panel_dims : panel -> int * int
 
 val factorize_batch :
   sub:panel -> diag:panel -> sup:panel -> c:panel -> m:panel -> unit
-(** Batched c'-sweep: one pass computes the {!factorize} outputs for
-    every story, writing pivots into [m] and the swept super-diagonal
-    into [c].  Dimensions are taken from [diag].
+(** Batched c'-sweep of {!solve}: one pass computes, for every story,
+    the pivots (into [m]) and the swept super-diagonal (into [c]) that
+    {!solve} computes internally, so they can be reused across many
+    right-hand sides.  Dimensions are taken from [diag].
     @raise Mat.Singular on a (numerically) zero pivot in any story.
     @raise Invalid_argument on panel dimension mismatch. *)
 
 val solve_factored_batch :
   sub:panel -> c:panel -> m:panel -> src:panel -> dst:panel -> unit
 (** Batched d'-sweep + back-substitution against a factorization from
-    {!factorize_batch}.  [src == dst] is allowed, with the same
-    in-place contract as {!solve_factored}.
+    {!factorize_batch}; column [s] is bit-identical to {!solve} on
+    story [s].  [src == dst] is allowed and gives the same bits (the
+    d'-sweep reads row [i] of [src] before writing row [i] of [dst],
+    and earlier rows already hold d').
     @raise Invalid_argument on panel dimension mismatch. *)
 
 val mv_batch :
   sub:panel -> diag:panel -> sup:panel -> src:panel -> dst:panel -> unit
-(** Batched {!mv_into}: [dst.(i,s) <- (A_s src_s).(i)] with the same
+(** Batched {!mv}: [dst.(i,s) <- (A_s src_s).(i)] with the same
     per-row accumulation order (diag, sub, sup).  [src] must not alias
     [dst].
     @raise Invalid_argument on dimension mismatch or aliasing. *)
 
 val mv : t -> Vec.t -> Vec.t
 (** Product of the tridiagonal matrix with a vector, in [O(n)]. *)
-
-val mv_into : t -> Vec.t -> dst:Vec.t -> unit
-(** Allocation-free {!mv} into [dst] (which must not alias the input;
-    asserted).  Bit-identical to [mv]. *)
 
 val to_dense : t -> Mat.t
 (** Expansion to a dense matrix; intended for tests. *)

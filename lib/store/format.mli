@@ -30,9 +30,9 @@ type record = {
   nx : int;  (** fitting grid resolution *)
   dt : float;  (** fitting time step *)
   reference_stepper : bool;
-      (** true when the fit ran on the reference (non-workspace) PDE
-          stepper — part of the solver signature, so fits made under
-          different solver configs never alias *)
+      (** true when the fit ran on the reference PDE stepper, which
+          only older writers could select; new records write [false].
+          Kept so format v3 records round-trip unchanged. *)
   fit_times : float array;  (** training horizon (observation hours) *)
   training_error : float;
   evaluations : int;  (** PDE solves spent by the fit *)
@@ -67,8 +67,7 @@ val phi : record -> Dl.Initial.t
     observation set (possible only for hand-corrupted records — CRC
     framing rejects bit rot). *)
 
-val solver_signature :
-  scheme:Dl.Model.scheme -> nx:int -> dt:float -> reference:bool -> string
+val solver_signature : scheme:Dl.Model.scheme -> nx:int -> dt:float -> string
 (** Canonical string describing a solver configuration, used in fit
     cache keys (and derived record ids) so that requests differing
     only in solver config hash differently. *)

@@ -223,7 +223,7 @@ let record_of_fit ?id ?(story = "") ?(source = "store") ?(model = "dl")
       scheme = config.Dl.Fit.solver_scheme;
       nx = config.Dl.Fit.solver_nx;
       dt = config.Dl.Fit.solver_dt;
-      reference_stepper = Numerics.Pde.use_reference_stepper ();
+      reference_stepper = false;
       fit_times = config.Dl.Fit.fit_times;
       training_error = result.Dl.Fit.training_error;
       evaluations = result.Dl.Fit.evaluations;

@@ -95,8 +95,7 @@ val record_of_fit :
   unit ->
   Format.record
 (** Capture a completed {!Dl.Fit.fit} as a store record.  The phi
-    knots, solver configuration (scheme, grid, dt, reference-stepper
-    flag), training horizon and accuracy metrics all come along.
+    knots, solver configuration (scheme, grid, dt), training horizon and accuracy metrics all come along.
     [model] (default ["dl"]) names the registry model the parameters
     belong to — the serving layer passes ["dl-linear"] for linear
     diffusive fits it embedded via [Linear_model.to_dl].  When [id] is

@@ -181,7 +181,7 @@ let test_reaction_only_logistic () =
       xr = 5.;
       nx = 41;
       diffusion = (fun _ -> 0.);
-      reaction = Pde.Custom (fun ~x:_ ~t:_ ~u -> r0 *. u *. (1. -. (u /. k)));
+      reaction = Pde.Logistic { r = (fun _ -> r0); k };
       initial = (fun x -> 1. +. (0.1 *. x));
       t0 = 0.;
     }
@@ -196,8 +196,7 @@ let test_reaction_only_logistic () =
             (Ode.logistic ~r:r0 ~k ~n0 2.)
             sol.Pde.values.(1).(i))
         sol.Pde.xs)
-    [ Pde.Ftcs; Pde.Imex 0.5;
-      Pde.Strang (Pde.logistic_reaction_step ~r:(fun _ -> r0) ~k) ]
+    [ Pde.Ftcs; Pde.Imex 0.5; Pde.Strang ]
 
 let test_schemes_agree () =
   (* Full DL-type problem: all three schemes converge to the same
@@ -210,7 +209,7 @@ let test_schemes_agree () =
       xr = 6.;
       nx = 51;
       diffusion = (fun _ -> 0.05);
-      reaction = Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)));
+      reaction = Pde.Logistic { r; k };
       initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
       t0 = 1.;
     }
@@ -218,11 +217,7 @@ let test_schemes_agree () =
   let times = [| 3.; 6. |] in
   let ftcs = Pde.solve ~scheme:Pde.Ftcs ~dt:2e-4 p ~times in
   let imex = Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:2e-4 p ~times in
-  let strang =
-    Pde.solve
-      ~scheme:(Pde.Strang (Pde.logistic_reaction_step ~r ~k))
-      ~dt:2e-4 p ~times
-  in
+  let strang = Pde.solve ~scheme:Pde.Strang ~dt:2e-4 p ~times in
   for it = 1 to 2 do
     for ix = 0 to 50 do
       checkf 5e-3 "ftcs vs imex" ftcs.Pde.values.(it).(ix) imex.Pde.values.(it).(ix);

@@ -1,14 +1,15 @@
-(* The allocation-free PDE fast path is only allowed to exist because
-   it is bit-identical to the retained reference stepper: same
-   floating-point operations in the same order, only the array churn
-   and re-factorizations removed.  These tests enforce that contract
-   (per-cell Int64 bit equality, not approximate checks), plus the
-   workspace-reuse counters, the factored-solve algebra, and the
-   fitting-objective memo. *)
+(* The panel stepper is only allowed to exist because it is
+   bit-identical to the reference stepper: same floating-point
+   operations in the same order, only the array churn, the repeated
+   factorizations and the boxed reaction calls removed.  These tests
+   enforce that contract (per-cell Int64 bit equality, not approximate
+   checks) for [Pde.solve] (a width-1 panel) and every [solve_panel]
+   column, plus the batched Thomas algebra, the metric attribution of
+   the two entry points, and the fitting-objective memo. *)
 
 open Numerics
 
-(* --- Tridiag: factorized Thomas vs one-shot solve --- *)
+(* --- Tridiag: batched Thomas vs one-shot solve --- *)
 
 let random_dominant_system rng n =
   let sub = Array.init (n - 1) (fun _ -> Rng.uniform rng (-1.) 1.) in
@@ -23,94 +24,171 @@ let random_dominant_system rng n =
   in
   (Tridiag.make ~sub ~diag ~sup, Array.init n (fun _ -> Rng.uniform rng (-5.) 5.))
 
+let pack_panel ~n ~ns get =
+  let p = Tridiag.panel_create ~n ~stories:ns in
+  for i = 0 to n - 1 do
+    for s = 0 to ns - 1 do
+      Bigarray.Array2.set p i s (get s i)
+    done
+  done;
+  p
+
+let col (p : Tridiag.panel) ~n s = Array.init n (fun i -> Bigarray.Array2.get p i s)
+
+(* sub/diag/sup panels of [systems]; off-diagonal panels allocated with
+   n rows on purpose: the extra row is part of the documented layout
+   and must be ignored *)
+let pack_systems ~n systems =
+  let ns = Array.length systems in
+  ( pack_panel ~n ~ns (fun s i ->
+        if i < n - 1 then (fst systems.(s)).Tridiag.sub.(i) else nan),
+    pack_panel ~n ~ns (fun s i -> (fst systems.(s)).Tridiag.diag.(i)),
+    pack_panel ~n ~ns (fun s i ->
+        if i < n - 1 then (fst systems.(s)).Tridiag.sup.(i) else nan) )
+
+let check_bits name expect got =
+  Array.iteri
+    (fun i v ->
+      if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i)))
+      then Alcotest.failf "%s: cell %d: %.17g vs %.17g" name i v got.(i))
+    expect
+
 let test_factorize_matches_solve () =
+  (* the batched c'-sweep + d'-sweep against the one-shot solve, down
+     to the degenerate sizes (n = 1 has no off-diagonals at all) *)
   let rng = Rng.create 42 in
   List.iter
     (fun n ->
-      let t, b = random_dominant_system rng n in
-      let expect = Tridiag.solve t b in
-      let f = Tridiag.factorize t in
-      Alcotest.(check int) "factored dim" n (Tridiag.factored_dim f);
-      let dst = Array.make n 0. in
-      Tridiag.solve_factored f ~src:b ~dst;
+      let ns = 2 in
+      let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
+      let sub, diag, sup = pack_systems ~n systems in
+      let c = Tridiag.panel_create ~n ~stories:ns
+      and m = Tridiag.panel_create ~n ~stories:ns in
+      Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
+      let dst = Tridiag.panel_create ~n ~stories:ns in
+      Tridiag.solve_factored_batch ~sub ~c ~m
+        ~src:(pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)))
+        ~dst;
       Array.iteri
-        (fun i v ->
-          if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float dst.(i)))
-          then Alcotest.failf "n=%d cell %d: %.17g vs %.17g" n i v dst.(i))
-        expect)
+        (fun s (t, b) ->
+          check_bits (Printf.sprintf "n=%d story %d" n s) (Tridiag.solve t b)
+            (col dst ~n s))
+        systems)
     [ 1; 2; 3; 7; 41 ]
 
-let test_factored_reused_across_rhs () =
-  (* one c'-sweep, many right-hand sides: each must still match the
-     one-shot solve bit for bit *)
-  let rng = Rng.create 7 in
-  let t, _ = random_dominant_system rng 31 in
-  let f = Tridiag.factorize t in
-  let dst = Array.make 31 0. in
-  for _ = 1 to 5 do
-    let b = Array.init 31 (fun _ -> Rng.uniform rng (-3.) 3.) in
-    Tridiag.solve_factored f ~src:b ~dst;
-    let expect = Tridiag.solve t b in
-    Array.iteri
-      (fun i v ->
-        Alcotest.(check bool) "bit equal" true
-          (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float dst.(i))))
-      expect
-  done
-
-let test_solve_factored_in_place () =
-  (* src == dst aliasing is part of the contract *)
-  let rng = Rng.create 11 in
-  let t, b = random_dominant_system rng 17 in
-  let expect = Tridiag.solve t b in
-  let buf = Array.copy b in
-  let f = Tridiag.factorize t in
-  Tridiag.solve_factored f ~src:buf ~dst:buf;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool) "in-place bit equal" true
-        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float buf.(i))))
-    expect
-
-let test_mv_into_matches_mv () =
-  let rng = Rng.create 13 in
-  let t, x = random_dominant_system rng 23 in
-  let expect = Tridiag.mv t x in
-  let dst = Array.make 23 nan in
-  Tridiag.mv_into t x ~dst;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool) "mv bit equal" true
-        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float dst.(i))))
-    expect
-
 let test_factorize_singular_raises () =
-  let t = Tridiag.make ~sub:[| 1. |] ~diag:[| 0.; 1. |] ~sup:[| 1. |] in
+  (* a pivot that only vanishes mid-sweep: m_1 = 1 - 1 * (1 / 1) = 0 *)
+  let one = pack_panel ~n:2 ~ns:1 (fun _ _ -> 1.) in
+  let c = Tridiag.panel_create ~n:2 ~stories:1
+  and m = Tridiag.panel_create ~n:2 ~stories:1 in
   try
-    ignore (Tridiag.factorize t);
+    Tridiag.factorize_batch ~sub:one ~diag:one ~sup:one ~c ~m;
     Alcotest.fail "expected Mat.Singular"
   with Mat.Singular -> ()
 
-(* --- workspace stepper vs reference stepper: bit identity --- *)
+let test_batch_thomas_matches_scalar () =
+  let rng = Rng.create 19 in
+  let n = 23 and ns = 5 in
+  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
+  let sub, diag, sup = pack_systems ~n systems in
+  let c = Tridiag.panel_create ~n ~stories:ns
+  and m = Tridiag.panel_create ~n ~stories:ns in
+  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
+  let src = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
+  let dst = Tridiag.panel_create ~n ~stories:ns in
+  Tridiag.solve_factored_batch ~sub ~c ~m ~src ~dst;
+  Array.iteri
+    (fun s (t, b) ->
+      check_bits (Printf.sprintf "story %d" s) (Tridiag.solve t b) (col dst ~n s))
+    systems;
+  (* mv_batch column s must match the scalar mv bit for bit *)
+  let mv_dst = Tridiag.panel_create ~n ~stories:ns in
+  Tridiag.mv_batch ~sub ~diag ~sup ~src ~dst:mv_dst;
+  Array.iteri
+    (fun s (t, b) ->
+      check_bits (Printf.sprintf "mv_batch story %d" s) (Tridiag.mv t b)
+        (col mv_dst ~n s))
+    systems
 
-let dl_problem () =
+let test_factored_reused_across_rhs () =
+  (* one batched c'-sweep, many right-hand sides (as in a time-stepping
+     loop): each must still match the one-shot solve bit for bit *)
+  let rng = Rng.create 7 in
+  let n = 31 and ns = 3 in
+  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
+  let sub, diag, sup = pack_systems ~n systems in
+  let c = Tridiag.panel_create ~n ~stories:ns
+  and m = Tridiag.panel_create ~n ~stories:ns in
+  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
+  let dst = Tridiag.panel_create ~n ~stories:ns in
+  for _ = 1 to 5 do
+    let rhs = Array.init ns (fun _ -> Array.init n (fun _ -> Rng.uniform rng (-3.) 3.)) in
+    Tridiag.solve_factored_batch ~sub ~c ~m
+      ~src:(pack_panel ~n ~ns (fun s i -> rhs.(s).(i)))
+      ~dst;
+    Array.iteri
+      (fun s (t, _) ->
+        check_bits (Printf.sprintf "story %d" s) (Tridiag.solve t rhs.(s))
+          (col dst ~n s))
+      systems
+  done
+
+let test_batch_solve_in_place () =
+  (* src == dst is an in-place solve with identical bits *)
+  let rng = Rng.create 23 in
+  let n = 17 and ns = 3 in
+  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
+  let sub, diag, sup = pack_systems ~n systems in
+  let c = Tridiag.panel_create ~n ~stories:ns
+  and m = Tridiag.panel_create ~n ~stories:ns in
+  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
+  let buf = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
+  Tridiag.solve_factored_batch ~sub ~c ~m ~src:buf ~dst:buf;
+  Array.iteri
+    (fun s (t, b) ->
+      check_bits (Printf.sprintf "in-place story %d" s) (Tridiag.solve t b)
+        (col buf ~n s))
+    systems
+
+let test_batch_singular_raises () =
+  let sub = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
+  let sup = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
+  (* story 1 has a zero leading pivot *)
+  let diag = pack_panel ~n:2 ~ns:2 (fun s _ -> if s = 1 then 0. else 2.) in
+  let c = Tridiag.panel_create ~n:2 ~stories:2
+  and m = Tridiag.panel_create ~n:2 ~stories:2 in
+  try
+    Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
+    Alcotest.fail "expected Mat.Singular"
+  with Mat.Singular -> ()
+
+(* --- Pde.solve vs the reference stepper: bit identity --- *)
+
+(* The paper-shaped DL problem with its reaction in each representation
+   the solver accepts; the [Custom] closure computes the logistic
+   formula through the boxed path. *)
+let dl_problem reaction =
   let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
   let k = 25. in
-  ( {
-      Pde.xl = 1.;
-      xr = 6.;
-      nx = 41;
-      diffusion = (fun _ -> 0.05);
-      reaction = Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)));
-      initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
-      t0 = 1.;
-    },
-    r,
-    k )
+  {
+    Pde.xl = 1.;
+    xr = 6.;
+    (* dx = 5/36: not a power of two, so reassociating a division by
+       dx^2 changes bits *)
+    nx = 37;
+    diffusion = (fun _ -> 0.05);
+    reaction =
+      (match reaction with
+      | `Logistic -> Pde.Logistic { r; k }
+      | `Linear -> Pde.Linear { r }
+      | `Custom -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k))));
+    initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
+    t0 = 1.;
+  }
 
 (* snapshot times that are not multiples of dt, so the loop hits the
-   ragged-final-partial-step path (throwaway operator builds) as well
-   as the cached macro-step path *)
+   ragged-final-partial-step path (operators refactorized for the short
+   step) as well as the macro-step path *)
 let ragged_times = [| 1.303; 2.5; 3.017 |]
 
 let check_solutions_bit_identical name (a : Pde.solution) (b : Pde.solution) =
@@ -128,312 +206,174 @@ let check_solutions_bit_identical name (a : Pde.solution) (b : Pde.solution) =
         row)
     a.Pde.values
 
-let schemes_under_test () =
-  let _, r, k = dl_problem () in
-  [
-    ("ftcs", Pde.Ftcs);
-    ("imex-cn", Pde.Imex 0.5);
-    ("imex-implicit", Pde.Imex 1.);
-    ("strang", Pde.Strang (Pde.logistic_reaction_step ~r ~k));
-  ]
-
-let test_workspace_bit_identical () =
-  let p, _, _ = dl_problem () in
+let test_solve_bit_identical () =
+  (* every scheme x reaction shape the solver accepts (Strang has no
+     Custom flow); FTCS also at a dt its CFL limit clips *)
   List.iter
-    (fun (name, scheme) ->
-      (* fresh reaction closures per solve: logistic_reaction_step is
-         stateful (memoized integral) *)
-      let fast =
-        Pde.solve ~scheme ~dt:0.01 ~reference:false p ~times:ragged_times
-      in
-      let slow =
-        Pde.solve ~scheme ~dt:0.01 ~reference:true p ~times:ragged_times
-      in
-      check_solutions_bit_identical name fast slow)
-    (schemes_under_test ())
+    (fun (name, scheme, dt, reactions) ->
+      List.iter
+        (fun (rname, reaction) ->
+          let p = dl_problem reaction in
+          check_solutions_bit_identical
+            (Printf.sprintf "%s/%s" name rname)
+            (Pde.solve ~scheme ~dt p ~times:ragged_times)
+            (Pde.solve_reference ~scheme ~dt p ~times:ragged_times))
+        reactions)
+    (let all = [ ("logistic", `Logistic); ("linear", `Linear); ("custom", `Custom) ] in
+     [
+       ("ftcs", Pde.Ftcs, 0.01, all);
+       ("ftcs-clipped", Pde.Ftcs, 0.2, all);
+       ("imex-cn", Pde.Imex 0.5, 0.01, all);
+       ("imex-implicit", Pde.Imex 1., 0.01, all);
+       ("strang", Pde.Strang, 0.01, List.filter (fun (n, _) -> n <> "custom") all);
+     ])
 
-let test_workspace_no_state_leak () =
-  (* repeated fast solves of the same problem must be bit-identical to
-     each other and to the reference: nothing carries over *)
-  let p, _, _ = dl_problem () in
-  List.iter
-    (fun (name, scheme) ->
-      let run () =
-        Pde.solve ~scheme ~dt:0.01 ~reference:false p ~times:ragged_times
-      in
-      let first = run () in
-      let second = run () in
-      check_solutions_bit_identical (name ^ " repeat") first second;
-      check_solutions_bit_identical (name ^ " vs ref") first
-        (Pde.solve ~scheme ~dt:0.01 ~reference:true p ~times:ragged_times))
-    (schemes_under_test ())
+let expect_invalid_arg what f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument for %s" what
+  | exception Invalid_argument _ -> ()
 
-let test_global_reference_toggle () =
-  let p, _, _ = dl_problem () in
-  Alcotest.(check bool) "default is fast" false (Pde.use_reference_stepper ());
-  Pde.set_use_reference_stepper true;
-  Fun.protect
-    ~finally:(fun () -> Pde.set_use_reference_stepper false)
-    (fun () ->
-      (* ?reference defaults to the global toggle; result is still
-         bit-identical because the two paths are *)
-      let toggled = Pde.solve ~dt:0.01 p ~times:ragged_times in
-      let fast = Pde.solve ~dt:0.01 ~reference:false p ~times:ragged_times in
-      check_solutions_bit_identical "toggle" toggled fast)
+let test_solve_strang_rejects_custom () =
+  let p = dl_problem `Custom in
+  expect_invalid_arg "Custom under Strang (solve)" (fun () ->
+      Pde.solve ~scheme:Pde.Strang ~dt:0.01 p ~times:[| 2. |]);
+  expect_invalid_arg "Custom under Strang (reference)" (fun () ->
+      Pde.solve_reference ~scheme:Pde.Strang ~dt:0.01 p ~times:[| 2. |])
 
-(* --- workspace counters --- *)
+(* --- metric attribution of the two entry points --- *)
 
 let with_obs_enabled f =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
 
-let test_workspace_counters () =
+let test_solve_metric_attribution () =
   with_obs_enabled (fun () ->
-      let reuses = Obs.Metrics.counter "pde.workspace_reuses" in
-      let rebuilds = Obs.Metrics.counter "pde.factor_rebuilds" in
-      let r0 = Obs.Metrics.counter_value reuses in
-      let b0 = Obs.Metrics.counter_value rebuilds in
-      let p, _, _ = dl_problem () in
-      (* 1.303 needs a ragged step, so: 1 initial build + ragged
-         throwaway builds, and many macro steps served by the cache *)
-      ignore
-        (Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:0.01 ~reference:false p
-           ~times:ragged_times);
-      let dr = Obs.Metrics.counter_value reuses - r0 in
-      let db = Obs.Metrics.counter_value rebuilds - b0 in
-      Alcotest.(check bool) "many cached steps" true (dr > 100);
-      Alcotest.(check bool) "initial + ragged rebuilds" true (db >= 2);
-      (* the reference path must not touch workspace counters *)
-      let r1 = Obs.Metrics.counter_value reuses in
-      ignore
-        (Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:0.01 ~reference:true p
-           ~times:ragged_times);
-      Alcotest.(check int) "reference adds no reuses" r1
-        (Obs.Metrics.counter_value reuses))
+      let names =
+        [ "pde.solves"; "pde.steps"; "pde.panel_solves"; "pde.panel_steps";
+          "pde.panel_reuses"; "pde.panel_rebuilds" ]
+      in
+      let read () =
+        List.map (fun n -> Obs.Metrics.counter_value (Obs.Metrics.counter n)) names
+      in
+      let delta f =
+        let before = read () in
+        f ();
+        List.map2 ( - ) (read ()) before
+      in
+      let p = dl_problem `Logistic in
+      let times = [| 2. |] in
+      (* 100 macro steps of dt = 0.01 from t0 = 1 to t = 2 *)
+      Alcotest.(check (list int)) "Pde.solve counts only pde.solves/steps"
+        [ 1; 100; 0; 0; 0; 0 ]
+        (delta (fun () -> ignore (Pde.solve ~dt:0.01 p ~times)));
+      Alcotest.(check (list int)) "solve_panel counts only pde.panel_*"
+        [ 0; 0; 1; 100; 0; 1 ]
+        (delta (fun () -> ignore (Pde.solve_panel ~dt:0.01 [| p; p |] ~times)));
+      Alcotest.(check (list int)) "the reference counts nothing"
+        [ 0; 0; 0; 0; 0; 0 ]
+        (delta (fun () -> ignore (Pde.solve_reference ~dt:0.01 p ~times))))
 
-(* --- batched Thomas panels vs scalar, column by column --- *)
-
-let pack_panel ~n ~ns get =
-  let p = Tridiag.panel_create ~n ~stories:ns in
-  for i = 0 to n - 1 do
-    for s = 0 to ns - 1 do
-      Bigarray.Array2.set p i s (get s i)
-    done
-  done;
-  p
-
-let col (p : Tridiag.panel) ~n s = Array.init n (fun i -> Bigarray.Array2.get p i s)
-
-let test_batch_thomas_matches_scalar () =
-  let rng = Rng.create 19 in
-  let n = 23 and ns = 5 in
-  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
-  (* off-diagonal panels allocated with n rows on purpose: the extra
-     row is part of the documented layout and must be ignored *)
-  let sub = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sub.(i) else nan)
-  and diag = pack_panel ~n ~ns (fun s i -> (fst systems.(s)).Tridiag.diag.(i))
-  and sup = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sup.(i) else nan) in
-  let c = Tridiag.panel_create ~n ~stories:ns
-  and m = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-  let src = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
-  let dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src ~dst;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.solve t b in
-      let got = col dst ~n s in
-      Array.iteri
-        (fun i v ->
-          if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i)))
-          then Alcotest.failf "story %d cell %d: %.17g vs %.17g" s i v got.(i))
-        expect)
-    systems;
-  (* mv_batch column s must match the scalar mv bit for bit *)
-  let mv_dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.mv_batch ~sub ~diag ~sup ~src ~dst:mv_dst;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.mv t b in
-      let got = col mv_dst ~n s in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) "mv_batch bit equal" true
-            (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i))))
-        expect)
-    systems
-
-let test_batch_solve_in_place () =
-  (* the batched solve inherits solve_factored's aliasing contract:
-     src == dst is an in-place solve with identical bits *)
-  let rng = Rng.create 23 in
-  let n = 17 and ns = 3 in
-  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
-  let sub = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sub.(i) else nan)
-  and diag = pack_panel ~n ~ns (fun s i -> (fst systems.(s)).Tridiag.diag.(i))
-  and sup = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sup.(i) else nan) in
-  let c = Tridiag.panel_create ~n ~stories:ns
-  and m = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-  let buf = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src:buf ~dst:buf;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.solve t b in
-      let got = col buf ~n s in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) "batch in-place bit equal" true
-            (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i))))
-        expect)
-    systems
-
-let test_batch_singular_raises () =
-  let sub = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
-  let sup = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
-  (* story 1 has a zero leading pivot *)
-  let diag = pack_panel ~n:2 ~ns:2 (fun s _ -> if s = 1 then 0. else 2.) in
-  let c = Tridiag.panel_create ~n:2 ~stories:2
-  and m = Tridiag.panel_create ~n:2 ~stories:2 in
-  try
-    Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-    Alcotest.fail "expected Mat.Singular"
-  with Mat.Singular -> ()
-
-(* --- fused panel solves vs per-story scalar solves --- *)
+(* --- fused panel solves vs per-story reference solves --- *)
 
 (* A pseudo-random story: paper-shaped r(t), per-story (d, k,
-   amplitude).  [kind] selects the reaction representation; the
-   [Custom] closure computes the same logistic formula through the
-   boxed path. *)
-let panel_story_of_rng rng kind =
-  let d = Rng.uniform rng 0.01 0.3 in
+   amplitude) unless [d] is given.  [kind] selects the reaction
+   representation; the [Custom] closure computes the same logistic
+   formula through the boxed path. *)
+let random_story ?d rng kind =
+  let d = match d with Some d -> d | None -> Rng.uniform rng 0.01 0.3 in
   let a = Rng.uniform rng 0.3 1.8 in
   let b = Rng.uniform rng 0.5 2.0 in
   let c = Rng.uniform rng 0.1 0.5 in
   let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
   let k = Rng.uniform rng 5. 40. in
   let amp = Rng.uniform rng 2. 10. in
-  let reaction =
-    match kind with
-    | 0 -> Pde.Logistic { r; k }
-    | 1 -> Pde.Linear { r }
-    | _ -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)))
-  in
-  ( {
-      Pde.ps_diffusion = (fun _ -> d);
-      ps_reaction = reaction;
-      ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-    },
-    r,
-    k )
+  {
+    Pde.xl = 1.;
+    xr = 6.;
+    nx = 25;
+    diffusion = (fun _ -> d);
+    reaction =
+      (match kind with
+      | 0 -> Pde.Logistic { r; k }
+      | 1 -> Pde.Linear { r }
+      | _ -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k))));
+    initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
+    t0 = 1.;
+  }
 
-let scalar_scheme_for st r k =
-  function
-  | Pde.Panel_imex theta -> Pde.Imex theta
-  | Pde.Panel_strang -> (
-    match st.Pde.ps_reaction with
-    | Pde.Logistic _ -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-    | Pde.Linear _ -> Pde.Strang (Pde.linear_reaction_step ~r)
-    | Pde.Custom _ -> assert false)
-
-let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
+let check_panel_matches_reference ?workspace ~scheme ~kinds seed ns =
   let rng = Rng.create seed in
-  let stories = Array.init ns (fun s -> panel_story_of_rng rng (kinds s)) in
-  let pp =
-    {
-      Pde.pp_xl = 1.;
-      pp_xr = 6.;
-      pp_nx = 25;
-      pp_t0 = 1.;
-      pp_stories = Array.map (fun (st, _, _) -> st) stories;
-    }
+  (* FTCS panels need one CFL-clipped step for all stories: share d *)
+  let d = match scheme with Pde.Ftcs -> Some (Rng.uniform rng 0.01 0.3) | _ -> None in
+  let problems = Array.init ns (fun s -> random_story ?d rng (kinds s)) in
+  let sols =
+    Pde.solve_panel ~scheme ~dt:0.01 ?workspace problems ~times:ragged_times
   in
-  let sols = Pde.solve_panel ~scheme ~dt:0.01 ?workspace pp ~times:ragged_times in
   Alcotest.(check int) "panel story count" ns (Array.length sols);
   Array.iteri
-    (fun s (st, r, k) ->
-      let p =
-        {
-          Pde.xl = 1.;
-          xr = 6.;
-          nx = 25;
-          diffusion = st.Pde.ps_diffusion;
-          reaction = st.Pde.ps_reaction;
-          initial = st.Pde.ps_initial;
-          t0 = 1.;
-        }
-      in
-      let expect =
-        Pde.solve ~scheme:(scalar_scheme_for st r k scheme) ~dt:0.01
-          ~reference:false p ~times:ragged_times
-      in
+    (fun s p ->
       check_solutions_bit_identical (Printf.sprintf "panel story %d" s) sols.(s)
-        expect)
-    stories
+        (Pde.solve_reference ~scheme ~dt:0.01 p ~times:ragged_times))
+    problems
 
 let prop_panel_bit_identity =
-  (* panel sizes 1/2/17, both panel schemes, ragged snapshot times and
-     mixed reaction shapes — including a Custom story exercising the
-     closure fallback under IMEX.  Every column must reproduce the
-     per-story scalar solve bit for bit. *)
+  (* panel sizes 1/2/17, all three schemes, ragged snapshot times and
+     mixed reaction shapes — including Custom stories exercising the
+     closure path under FTCS and IMEX.  Every column must reproduce the
+     per-story reference solve bit for bit. *)
   QCheck.Test.make ~count:10 ~name:"solve_panel bit-identical per story"
-    QCheck.(triple (oneofl [ 1; 2; 17 ]) bool small_nat)
-    (fun (ns, strang, seed) ->
-      let scheme = if strang then Pde.Panel_strang else Pde.Panel_imex 0.5 in
-      (* Strang panels cannot carry Custom; IMEX panels cycle all three *)
-      let kinds s = if strang then s mod 2 else s mod 3 in
-      check_panel_matches_scalar ~scheme ~kinds (seed + (7 * ns)) ns;
+    QCheck.(triple (oneofl [ 1; 2; 17 ]) (oneofl [ 0; 1; 2 ]) small_nat)
+    (fun (ns, which, seed) ->
+      let scheme = [| Pde.Imex 0.5; Pde.Strang; Pde.Ftcs |].(which) in
+      (* Strang panels cannot carry Custom; the others cycle all three *)
+      let kinds s = if scheme = Pde.Strang then s mod 2 else s mod 3 in
+      check_panel_matches_reference ~scheme ~kinds (seed + (7 * ns)) ns;
       true)
 
-let test_panel_reference_fallback () =
-  (* ~reference:true must route every story through the reference
-     stepper — still bit-identical, by the existing scalar contract *)
-  let rng = Rng.create 5 in
-  let stories = Array.init 3 (fun s -> panel_story_of_rng rng (s mod 2)) in
-  let pp =
-    {
-      Pde.pp_xl = 1.;
-      pp_xr = 6.;
-      pp_nx = 25;
-      pp_t0 = 1.;
-      pp_stories = Array.map (fun (st, _, _) -> st) stories;
-    }
-  in
-  let fast =
-    Pde.solve_panel ~scheme:(Pde.Panel_imex 0.5) ~dt:0.01 ~reference:false pp
-      ~times:ragged_times
-  in
-  let slow =
-    Pde.solve_panel ~scheme:(Pde.Panel_imex 0.5) ~dt:0.01 ~reference:true pp
-      ~times:ragged_times
-  in
-  Array.iteri
-    (fun s f ->
-      check_solutions_bit_identical
-        (Printf.sprintf "reference story %d" s)
-        f slow.(s))
-    fast
-
 let test_panel_strang_rejects_custom () =
-  let st =
-    {
-      Pde.ps_diffusion = (fun _ -> 0.05);
-      ps_reaction = Pde.Custom (fun ~x:_ ~t:_ ~u -> u);
-      ps_initial = (fun _ -> 1.);
-    }
+  let rng = Rng.create 3 in
+  expect_invalid_arg "Custom under Strang (panel)" (fun () ->
+      Pde.solve_panel ~scheme:Pde.Strang ~dt:0.01
+        [| random_story rng 0; random_story rng 2 |]
+        ~times:[| 2. |])
+
+let test_ftcs_panel_rejects_mixed_cfl () =
+  (* on this grid d = 0.05 keeps dt = 0.5 clipped to 0.9 x its CFL
+     limit, d = 0.3 to a step six times smaller: no lockstep march *)
+  let rng = Rng.create 9 in
+  let slow = random_story ~d:0.05 rng 0 and fast = random_story ~d:0.3 rng 0 in
+  expect_invalid_arg "mixed CFL steps" (fun () ->
+      Pde.solve_panel ~scheme:Pde.Ftcs ~dt:0.5 [| slow; fast |] ~times:[| 2. |]);
+  (* and mismatched grids are rejected for every scheme *)
+  expect_invalid_arg "mixed grids" (fun () ->
+      Pde.solve_panel ~dt:0.01 [| slow; { fast with Pde.nx = 31 } |]
+        ~times:[| 2. |])
+
+let test_workspace_no_state_leak () =
+  (* a reused workspace keeps its buffers, never its contents: the
+     same scheme and dt on new stories must not see the previous
+     stories' operators, and a repeat solve reproduces the first *)
+  let ws = Pde.panel_workspace () in
+  let problems seed =
+    let rng = Rng.create seed in
+    Array.init 3 (fun s -> random_story rng (s mod 3))
   in
-  let pp =
-    { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 11; pp_t0 = 1.; pp_stories = [| st |] }
+  let solve ps =
+    Pde.solve_panel ~scheme:(Pde.Imex 0.5) ~dt:0.01 ~workspace:ws ps
+      ~times:ragged_times
   in
-  try
-    ignore (Pde.solve_panel ~scheme:Pde.Panel_strang ~dt:0.01 pp ~times:[| 2. |]);
-    Alcotest.fail "expected Invalid_argument for Custom under Strang"
-  with Invalid_argument _ -> ()
+  let a = problems 1 and b = problems 2 in
+  let first = solve a in
+  Array.iteri
+    (fun s sol ->
+      check_solutions_bit_identical (Printf.sprintf "new stories %d" s) sol
+        (Pde.solve_reference ~dt:0.01 b.(s) ~times:ragged_times))
+    (solve b);
+  Array.iteri
+    (fun s sol ->
+      check_solutions_bit_identical (Printf.sprintf "repeat %d" s) sol
+        first.(s))
+    (solve a)
 
 let test_panel_workspace_reuse () =
   with_obs_enabled (fun () ->
@@ -444,14 +384,14 @@ let test_panel_workspace_reuse () =
       let ws = Pde.panel_workspace () in
       (* same shape twice: one rebuild then one reuse, results
          unchanged by the recycled buffers *)
-      check_panel_matches_scalar ~workspace:ws ~scheme:(Pde.Panel_imex 0.5)
+      check_panel_matches_reference ~workspace:ws ~scheme:(Pde.Imex 0.5)
         ~kinds:(fun s -> s mod 3) 11 4;
-      check_panel_matches_scalar ~workspace:ws ~scheme:Pde.Panel_strang
+      check_panel_matches_reference ~workspace:ws ~scheme:Pde.Strang
         ~kinds:(fun s -> s mod 2) 13 4;
       Alcotest.(check (pair int int)) "workspace stats" (1, 1)
         (Pde.panel_workspace_stats ws);
       (* shape change reallocates *)
-      check_panel_matches_scalar ~workspace:ws ~scheme:(Pde.Panel_imex 0.5)
+      check_panel_matches_reference ~workspace:ws ~scheme:(Pde.Imex 0.5)
         ~kinds:(fun s -> s mod 3) 17 2;
       Alcotest.(check (pair int int)) "workspace stats after reshape" (1, 2)
         (Pde.panel_workspace_stats ws);
@@ -465,8 +405,8 @@ let model_phi () =
     ~densities:[| 6.0; 3.1; 2.3; 1.2; 0.7; 0.4 |]
 
 let test_model_solve_workspace_bit_identical () =
-  (* Model.solve ?workspace routes through a width-1 panel: outputs
-     must not move by a bit for either implicit scheme *)
+  (* Model.solve ?workspace runs on the caller's panel workspace:
+     outputs must not move by a bit for any scheme *)
   let phi = model_phi () in
   let times = [| 2.; 3.5; 4.017 |] in
   let ws = Pde.panel_workspace () in
@@ -478,7 +418,7 @@ let test_model_solve_workspace_bit_identical () =
       in
       check_solutions_bit_identical "model workspace" plain.Dl.Model.pde
         panel.Dl.Model.pde)
-    [ Dl.Model.Crank_nicolson; Dl.Model.Strang ]
+    [ Dl.Model.Ftcs; Dl.Model.Crank_nicolson; Dl.Model.Strang ]
 
 let test_model_solve_panel_shared_domain () =
   let phi = model_phi () in
@@ -495,15 +435,13 @@ let test_model_solve_panel_shared_domain () =
     [| (p1, phi); (p2, phi) |];
   (* mismatched domains are rejected *)
   let p3 = { p1 with Dl.Params.big_l = p1.Dl.Params.big_l +. 1. } in
-  try
-    ignore (Dl.Model.solve_panel [| (p1, phi); (p3, phi) |] ~times);
-    Alcotest.fail "expected Invalid_argument for mixed domains"
-  with Invalid_argument _ -> ()
+  expect_invalid_arg "mixed domains" (fun () ->
+      Dl.Model.solve_panel [| (p1, phi); (p3, phi) |] ~times)
 
 (* --- eval hardening --- *)
 
 let test_eval_rejects_nan () =
-  let p, _, _ = dl_problem () in
+  let p = dl_problem `Custom in
   let sol = Pde.solve ~dt:0.01 p ~times:[| 2. |] in
   let expect_invalid x t =
     try
@@ -539,10 +477,7 @@ let prop_factored_diffusion_mass =
           t0 = 0.;
         }
       in
-      let sol =
-        Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:5e-3 ~reference:false p
-          ~times:[| 0.7; 1.9 |]
-      in
+      let sol = Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:5e-3 p ~times:[| 0.7; 1.9 |] in
       let m0 = Pde.mass sol ~it:0 in
       let ok = ref true in
       for it = 1 to Array.length sol.Pde.ts - 1 do
@@ -608,21 +543,15 @@ let test_objective_memo_hit_rate () =
             (Obs.Metrics.counter_value hits)))
 
 let test_fit_identical_with_and_without_caches () =
-  (* the acceptance contract: a seeded fit lands on bit-identical
-     parameters with every cache enabled vs the --no-solver-cache
-     configuration (reference stepper + no memo) *)
+  (* a seeded fit lands on bit-identical parameters with the objective
+     memo on and off: a memo hit is the previously computed float *)
   let obs = synthetic_obs Dl.Params.paper_hops in
   let config = { Dl.Fit.default_config with starts = 2 } in
   let run () = Dl.Fit.fit ~config (Rng.create 3) obs in
   let cached = run () in
-  Pde.set_use_reference_stepper true;
   Dl.Fit.set_objective_memo false;
   let plain =
-    Fun.protect
-      ~finally:(fun () ->
-        Pde.set_use_reference_stepper false;
-        Dl.Fit.set_objective_memo true)
-      run
+    Fun.protect ~finally:(fun () -> Dl.Fit.set_objective_memo true) run
   in
   let p1 = cached.Dl.Fit.params and p2 = plain.Dl.Fit.params in
   let checkbit name a b =
@@ -653,29 +582,27 @@ let suite =
   [
     Alcotest.test_case "tridiag factorize = solve" `Quick
       test_factorize_matches_solve;
-    Alcotest.test_case "factored reuse across rhs" `Quick
-      test_factored_reused_across_rhs;
-    Alcotest.test_case "solve_factored in place" `Quick
-      test_solve_factored_in_place;
-    Alcotest.test_case "mv_into = mv" `Quick test_mv_into_matches_mv;
     Alcotest.test_case "factorize singular" `Quick
       test_factorize_singular_raises;
-    Alcotest.test_case "workspace bit-identical" `Quick
-      test_workspace_bit_identical;
-    Alcotest.test_case "workspace no state leak" `Quick
-      test_workspace_no_state_leak;
-    Alcotest.test_case "global reference toggle" `Quick
-      test_global_reference_toggle;
-    Alcotest.test_case "workspace counters" `Quick test_workspace_counters;
     Alcotest.test_case "batch thomas = scalar" `Quick
       test_batch_thomas_matches_scalar;
+    Alcotest.test_case "factored reuse across rhs" `Quick
+      test_factored_reused_across_rhs;
     Alcotest.test_case "batch solve in place" `Quick test_batch_solve_in_place;
     Alcotest.test_case "batch singular" `Quick test_batch_singular_raises;
+    Alcotest.test_case "solve bit-identical to reference" `Quick
+      test_solve_bit_identical;
+    Alcotest.test_case "solve strang rejects custom" `Quick
+      test_solve_strang_rejects_custom;
+    Alcotest.test_case "solve metric attribution" `Quick
+      test_solve_metric_attribution;
     QCheck_alcotest.to_alcotest prop_panel_bit_identity;
-    Alcotest.test_case "panel reference fallback" `Quick
-      test_panel_reference_fallback;
     Alcotest.test_case "panel strang rejects custom" `Quick
       test_panel_strang_rejects_custom;
+    Alcotest.test_case "ftcs panel rejects mixed cfl" `Quick
+      test_ftcs_panel_rejects_mixed_cfl;
+    Alcotest.test_case "workspace no state leak" `Quick
+      test_workspace_no_state_leak;
     Alcotest.test_case "panel workspace reuse" `Quick
       test_panel_workspace_reuse;
     Alcotest.test_case "model solve workspace bit-identical" `Quick

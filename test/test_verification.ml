@@ -77,13 +77,14 @@ let test_strang_reaction_diffusion_convergence () =
       xr = 6.;
       nx = 81;
       diffusion = (fun _ -> 0.05);
-      reaction = Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)));
+      reaction = Pde.Logistic { r; k };
       initial = (fun x -> 8. *. exp (-0.8 *. (x -. 1.)) +. 0.3);
       t0 = 1.;
     }
   in
-  let scheme = Pde.Strang (Pde.logistic_reaction_step ~r ~k) in
-  let solve dt = (Pde.solve ~scheme ~dt p ~times:[| 3. |]).Pde.values.(1) in
+  let solve dt =
+    (Pde.solve ~scheme:Pde.Strang ~dt p ~times:[| 3. |]).Pde.values.(1)
+  in
   let reference = solve 1e-3 in
   let err dt =
     let u = solve dt in
