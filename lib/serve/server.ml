@@ -952,12 +952,20 @@ let domain_of entry =
     (params.Dl.Linear_model.l, params.Dl.Linear_model.big_l)
   | Be_fn { domain; _ } -> domain
 
+(* Latest /predict time accepted, in hours.  A memo miss integrates the
+   PDE from t = 1 at dt = 0.01, so this caps one point's solve at about
+   100k steps (under a second), far past any Digg cascade's
+   saturation. *)
+let max_predict_t = 1000.
+
 (* One validated point evaluation, shared by GET /predict and the
    POST /predict batch endpoint. *)
 let predict_point t entry ~x ~tq =
   let l, big_l = domain_of entry in
   if tq < 1. then
     Error "t must be >= 1 (the model starts at the t = 1 snapshot)"
+  else if tq > max_predict_t then
+    Error (Printf.sprintf "t must be <= %g (hours)" max_predict_t)
   else if x < l || x > big_l then
     Error
       (Printf.sprintf "x must lie in the fitted domain [%g, %g]" l big_l)

@@ -201,7 +201,23 @@ let test_fit_predict_and_cache () =
   (* t = 1 is served straight from phi *)
   let r = ok (Serve.Client.request ~port "GET" "/predict?x=1&t=1") in
   let d = Option.bind (J.member "density" (json_of r)) J.to_float |> Option.get in
-  Alcotest.(check (float 1e-6)) "phi at the first knot" 2.0 d
+  Alcotest.(check (float 1e-6)) "phi at the first knot" 2.0 d;
+  (* a finite but huge t would pin a worker on a ~10^11-step solve:
+     rejected up front, on both forms *)
+  List.iter
+    (fun (name, meth, body, path) ->
+      let r = ok (Serve.Client.request ~port ?body meth path) in
+      Alcotest.(check int) name 400 r.Serve.Client.status;
+      Alcotest.(check bool) (name ^ " names the bound") true
+        (contains ~needle:"t must be <= 1000" r.Serve.Client.body))
+    [
+      ("GET t = 1e9", "GET", None, "/predict?x=2&t=1e9");
+      ("GET t just past the bound", "GET", None, "/predict?x=2&t=1000.5");
+      ( "POST point with t = 1e9",
+        "POST",
+        Some {|{"points": [[2, 3], [2, 1e9]]}|},
+        "/predict" );
+    ]
 
 let test_input_rejection () =
   with_server @@ fun port ->
