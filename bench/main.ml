@@ -1440,7 +1440,9 @@ let run_panel_bench () =
     let reference () =
       Array.map (fun p -> Pde.solve_reference ~scheme ~dt p ~times) problems
     in
-    let width1 () = Array.map (fun p -> Pde.solve ~scheme ~dt p ~times) problems in
+    let width1 () =
+      Array.map (fun p -> Pde.solve ~scheme ~dt p ~times) problems
+    in
     let c_steps = Obs.Metrics.counter "pde.panel_steps" in
     let before = Obs.Metrics.counter_value c_steps in
     let panel_sols = panel () in

@@ -33,7 +33,8 @@ let dl_problem ~nx params ~phi =
     xr = params.Params.big_l;
     nx;
     diffusion = (fun _ -> params.Params.d);
-    reaction = Pde.Logistic { r = Growth.eval params.Params.r; k = params.Params.k };
+    reaction =
+      Pde.Logistic { r = Growth.eval params.Params.r; k = params.Params.k };
     initial = Initial.to_function phi;
     t0 = 1.;
   }

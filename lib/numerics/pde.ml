@@ -123,7 +123,8 @@ let exact_flow = function
       end
   | Linear { r } ->
     let integral = Quadrature.simpson_memo r ~n:8 in
-    fun ~t ~dt ~u -> if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
+    fun ~t ~dt ~u ->
+      if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
   | Custom _ -> assert false (* rejected by [check_args] *)
 
 (* Second-order (Heun) increment of the reaction term over [t, t+dt]. *)
@@ -173,9 +174,8 @@ let check_args fn scheme dt problems =
     if theta < 0.5 || theta > 1. then
       invalid_arg (fn ^ ": theta must be in [0.5, 1]")
   | Strang ->
-    if Array.exists (fun p -> match p.reaction with Custom _ -> true | _ -> false)
-         problems
-    then
+    let custom p = match p.reaction with Custom _ -> true | _ -> false in
+    if Array.exists custom problems then
       invalid_arg
         (fn ^ ": Strang needs a Logistic or Linear reaction (no exact \
                flow derives from a Custom closure)")
@@ -566,7 +566,8 @@ let run_panel fn ~bufs ~scheme ~dt problems ~times =
     problems;
   let h2 = dx p0 ** 2. in
   let h2w = Array.init nx (fun i -> h2 *. cell_weight nx i) in
-  let values = Array.init ns (fun _ -> Array.make (Array.length times + 1) [||]) in
+  let nt = Array.length times + 1 in
+  let values = Array.init ns (fun _ -> Array.make nt [||]) in
   let record j =
     Array.iteri
       (fun s v -> v.(j) <- Array.init nx (fun i -> unsafe_get b.pb_u i s))
