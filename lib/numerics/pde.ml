@@ -210,7 +210,7 @@ let solve_reference ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
   let flow =
     match scheme with
     | Strang -> exact_flow p.reaction
-    | Ftcs | Imex _ -> fun ~t:_ ~dt:_ ~u -> u
+    | Ftcs | Imex _ -> fun ~t:_ ~dt:_ ~u -> u (* never called *)
   in
   let u = ref (Array.map p.initial xs) in
   let values = Array.make (Array.length times + 1) [||] in
