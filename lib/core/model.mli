@@ -36,9 +36,9 @@ val solve_panel :
   (Params.t * Initial.t) array -> times:float array -> solution array
 (** Fused multi-story solve: every story (params, initial profile)
     must share the domain [(l, L)] ([Invalid_argument] otherwise); all
-    stories advance in lockstep through one batched Thomas sweep per
-    step.  Each element of the result is bit-identical to {!solve} on
-    that story alone.  FTCS solves story by story (stories with
+    stories advance in lockstep, one fused forward and backward sweep
+    per story per step.  Each element of the result is bit-identical
+    to {!solve} on that story alone.  FTCS solves story by story (stories with
     different [d] get different CFL-clipped steps). *)
 
 val solve_extended :

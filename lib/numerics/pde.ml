@@ -226,18 +226,22 @@ let solve_reference ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
 (* --- panel stepper ------------------------------------------------ *)
 
 (* A panel steps S problems sharing (domain, grid, t0, dt, scheme)
-   through the time loop in lockstep: one batched Thomas sweep per
-   step services every story with contiguous inner-loop access
-   (structure-of-arrays [Tridiag.panel]s, story-major rows), the
-   x-independent per-step scalars (r(t), Simpson integrals of r, their
-   exponentials) are hoisted out of the cell loops once per story, and
-   the [Logistic]/[Linear] reactions run as unboxed float arithmetic.
-   Column [s] of the result is bit-identical to [solve_reference] on
-   story [s] alone — the loop interchange never mixes stories, the
+   through the time loop in lockstep on structure-of-arrays
+   [Tridiag.panel]s.  An implicit step is two sweeps per story: a
+   forward pass maps each look-ahead cell (Strang's first half flow),
+   forms the Crank--Nicolson explicit row, adds the RK2 reaction
+   (IMEX) and runs Thomas elimination, all with the three-cell stencil
+   in registers; a backward pass substitutes and applies Strang's
+   second half flow.  Stories are the outer loop, so each recurrence
+   is a scalar chain.  The x-independent per-step scalars (r(t),
+   Simpson integrals of r, their exponentials) are hoisted once per
+   story, and the [Logistic]/[Linear] reactions run as unboxed float
+   arithmetic.  Column [s] of the result is bit-identical to
+   [solve_reference] on story [s] alone: stories never mix, the
    hoisted scalars are exactly the values the reference computes per
-   cell (or memoizes, for the Strang Simpson integral), and every
-   batched kernel replicates its scalar counterpart's operation
-   order.  [solve] is a width-1 panel. *)
+   cell (or memoizes, for the Strang Simpson integral), and every cell
+   runs the reference's floating-point operations in its order.
+   [solve] is a width-1 panel. *)
 
 (* Reaction tags for the per-cell dispatch (int match, no closure). *)
 let tag_logistic = 0
@@ -255,8 +259,6 @@ type panel_bufs = {
   pb_ns : int;
   mutable pb_u : Tridiag.panel;
   mutable pb_next : Tridiag.panel;
-  pb_rhs : Tridiag.panel;
-  pb_stage : Tridiag.panel;
   (* face diffusivities (FTCS flux form) and the FV operator L *)
   pb_df : Tridiag.panel;
   pb_l_sub : Tridiag.panel;
@@ -273,10 +275,12 @@ type panel_bufs = {
   pb_f_c : Tridiag.panel;
   pb_f_m : Tridiag.panel;
   mutable pb_ops_dt : float;
-  (* per-story hoisted scalars: r(t), r(t+dt), reaction flow factors *)
+  (* per-story hoisted scalars: r(t), r(t+dt), the two Strang half
+     flow factors *)
   pb_rt : float array;
   pb_rt2 : float array;
   pb_flow : float array;
+  pb_flow2 : float array;
   pb_k : float array;
   pb_tag : int array;
 }
@@ -288,8 +292,6 @@ let make_panel_bufs ~nx ~ns =
     pb_ns = ns;
     pb_u = p ();
     pb_next = p ();
-    pb_rhs = p ();
-    pb_stage = p ();
     pb_df = p ();
     pb_l_sub = p ();
     pb_l_diag = p ();
@@ -306,6 +308,7 @@ let make_panel_bufs ~nx ~ns =
     pb_rt = Array.make ns 0.;
     pb_rt2 = Array.make ns 0.;
     pb_flow = Array.make ns 0.;
+    pb_flow2 = Array.make ns 0.;
     pb_k = Array.make ns 0.;
     pb_tag = Array.make ns tag_custom;
   }
@@ -427,36 +430,99 @@ let[@inline] rk2_increment b problems s ~x ~t ~dt ui =
     dt *. (k1 +. k2) /. 2.
   end
 
-(* Exact-flow factor exp(±∫r) over [a, a+half] per story: x-independent,
-   so computed once per story — exactly the value the reference's
-   one-slot Simpson memo hands every cell. *)
-let hoist_flows b problems a half =
+(* Exact-flow factor exp(±∫r) over [a, a+half], per story and per
+   Strang half: x-independent, so computed once per story — exactly the
+   value the reference's one-slot Simpson memo hands every cell, in its
+   call order ([t, t+half] then [t+half, t+dt]). *)
+let hoist_flows b problems t half =
+  let t2 = t +. half in
   for s = 0 to b.pb_ns - 1 do
     match problems.(s).reaction with
     | Logistic { r; k } ->
-      b.pb_flow.(s) <- exp (-.Quadrature.simpson r ~a ~b:(a +. half) ~n:8);
+      b.pb_flow.(s) <- exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
+      b.pb_flow2.(s) <- exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8);
       b.pb_k.(s) <- k
     | Linear { r } ->
-      b.pb_flow.(s) <- exp (Quadrature.simpson r ~a ~b:(a +. half) ~n:8)
+      b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
+      b.pb_flow2.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
     | Custom _ -> assert false (* rejected by [check_args] *)
   done
 
-(* Half reaction step [src] -> [dst] with the hoisted flow factors:
+(* Half reaction step of one cell with a hoisted flow factor:
    Ode.logistic_varying_r's closed form, or [u e^{∫r}]. *)
-let apply_flows b ~(src : Tridiag.panel) ~(dst : Tridiag.panel) =
+let[@inline] flow_cell logistic k f u =
+  if u = 0. then 0.
+  else if logistic then k /. (1. +. (((k /. u) -. 1.) *. f))
+  else u *. f
+
+(* Row [i] of the explicit operator times the stencil, in
+   [Tridiag.mv]'s order: diag, then sub, then sup. *)
+let[@inline] explicit_row b s i n prev cur next =
   let open Bigarray.Array2 in
-  for i = 0 to b.pb_nx - 1 do
-    for s = 0 to b.pb_ns - 1 do
-      let ui = unsafe_get src i s in
-      let v =
-        if ui = 0. then 0.
-        else if b.pb_tag.(s) = tag_logistic then
-          let k = b.pb_k.(s) in
-          k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
-        else ui *. b.pb_flow.(s)
-      in
-      unsafe_set dst i s v
-    done
+  let acc = unsafe_get b.pb_e_diag i s *. cur in
+  let acc =
+    if i > 0 then acc +. (unsafe_get b.pb_e_sub (i - 1) s *. prev) else acc
+  in
+  if i < n - 1 then acc +. (unsafe_get b.pb_e_sup i s *. next) else acc
+
+(* Thomas forward elimination of row [i] against the previous d', in
+   [Tridiag.solve]'s order. *)
+let[@inline] eliminate b s i rhs dprev =
+  let open Bigarray.Array2 in
+  if i = 0 then rhs /. unsafe_get b.pb_f_m 0 s
+  else
+    (rhs -. (unsafe_get b.pb_i_sub (i - 1) s *. dprev))
+    /. unsafe_get b.pb_f_m i s
+
+(* Strang, story [s]: forward sweep of first half flow + CN row +
+   elimination (d' into [pb_next]), backward substitution + second
+   half flow in place. *)
+let strang_sweep b s =
+  let open Bigarray.Array2 in
+  let n = b.pb_nx and u = b.pb_u and d = b.pb_next in
+  let logistic = b.pb_tag.(s) = tag_logistic and k = b.pb_k.(s) in
+  let f1 = b.pb_flow.(s) and f2 = b.pb_flow2.(s) in
+  let prev = ref 0. and dprev = ref 0. in
+  let cur = ref (flow_cell logistic k f1 (unsafe_get u 0 s)) in
+  for i = 0 to n - 1 do
+    let next =
+      if i < n - 1 then flow_cell logistic k f1 (unsafe_get u (i + 1) s) else 0.
+    in
+    let di = eliminate b s i (explicit_row b s i n !prev !cur next) !dprev in
+    unsafe_set d i s di;
+    dprev := di;
+    prev := !cur;
+    cur := next
+  done;
+  let x = ref !dprev in
+  unsafe_set d (n - 1) s (flow_cell logistic k f2 !x);
+  for i = n - 2 downto 0 do
+    let xi = unsafe_get d i s -. (unsafe_get b.pb_f_c i s *. !x) in
+    unsafe_set d i s (flow_cell logistic k f2 xi);
+    x := xi
+  done
+
+(* IMEX, story [s]: forward sweep of CN row + RK2 reaction increment +
+   elimination, then plain backward substitution. *)
+let imex_sweep b problems xs s t dt =
+  let open Bigarray.Array2 in
+  let n = b.pb_nx and u = b.pb_u and d = b.pb_next in
+  let prev = ref 0. and cur = ref (unsafe_get u 0 s) and dprev = ref 0. in
+  for i = 0 to n - 1 do
+    let next = if i < n - 1 then unsafe_get u (i + 1) s else 0. in
+    let rhs =
+      explicit_row b s i n !prev !cur next
+      +. rk2_increment b problems s ~x:xs.(i) ~t ~dt !cur
+    in
+    let di = eliminate b s i rhs !dprev in
+    unsafe_set d i s di;
+    dprev := di;
+    prev := !cur;
+    cur := next
+  done;
+  for i = n - 2 downto 0 do
+    unsafe_set d i s
+      (unsafe_get d i s -. (unsafe_get b.pb_f_c i s *. unsafe_get d (i + 1) s))
   done
 
 (* One lockstep macro step of size [dt] for the whole panel, into
@@ -488,35 +554,17 @@ let step_panel b problems xs h2w scheme t dt =
       done
     done
   | Imex _ ->
-    (* rhs <- (I + cE L) u, then += RK2 (Heun) reaction increment *)
     panel_ops b scheme dt;
-    Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
-      ~src:b.pb_u ~dst:b.pb_rhs;
     hoist_rates b problems t dt;
-    for i = 0 to nx - 1 do
-      let x = xs.(i) in
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_u i s in
-        unsafe_set b.pb_rhs i s
-          (unsafe_get b.pb_rhs i s +. rk2_increment b problems s ~x ~t ~dt ui)
-      done
-    done;
-    Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
-      ~src:b.pb_rhs ~dst:b.pb_next
+    for s = 0 to ns - 1 do
+      imex_sweep b problems xs s t dt
+    done
   | Strang ->
     panel_ops b scheme dt;
-    let half = dt /. 2. in
-    hoist_flows b problems t half;
-    apply_flows b ~src:b.pb_u ~dst:b.pb_stage;
-    (* Crank--Nicolson diffusion over the full step *)
-    Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
-      ~src:b.pb_stage ~dst:b.pb_rhs;
-    Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
-      ~src:b.pb_rhs ~dst:b.pb_stage;
-    (* second half step: integral over [t+half, (t+half)+half], the
-       reference's call order *)
-    hoist_flows b problems (t +. half) half;
-    apply_flows b ~src:b.pb_stage ~dst:b.pb_next);
+    hoist_flows b problems t (dt /. 2.);
+    for s = 0 to ns - 1 do
+      strang_sweep b s
+    done);
   let u = b.pb_u in
   b.pb_u <- b.pb_next;
   b.pb_next <- u

@@ -102,13 +102,16 @@ val solve_reference :
 
     A panel steps S problems sharing (domain, grid, [t0], [dt],
     scheme) through the time loop in lockstep: per-story state and
-    operators live in structure-of-arrays {!Tridiag.panel}s, one
-    batched Thomas sweep per step services every story with the
-    innermost loop walking contiguous memory, the x-independent
-    per-step scalars (r(t), Simpson [∫r], their exponentials) are
-    hoisted out of the cell loops, and [Logistic]/[Linear] reactions
-    run unboxed.  Batching reorders loops across independent stories
-    but never changes any story's floating-point operations. *)
+    operators live in structure-of-arrays {!Tridiag.panel}s, and an
+    implicit step is two sweeps per story — a forward pass that maps
+    the look-ahead cell (Strang's first half flow), forms the
+    Crank--Nicolson row, adds the RK2 reaction (IMEX) and eliminates,
+    then a backward pass that substitutes and applies Strang's second
+    half flow.  The x-independent per-step scalars (r(t), Simpson
+    [∫r], their exponentials) are hoisted out of the cell loops, and
+    [Logistic]/[Linear] reactions run unboxed.  Fusing passes and
+    batching stories reorder loops but never change any story's
+    floating-point operations. *)
 
 type panel_workspace
 (** Reusable panel buffer block (state, operators, factorization,

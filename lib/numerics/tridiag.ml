@@ -35,14 +35,12 @@ let solve t b =
 (* Batched panels: S independent tridiagonal systems advanced in
    lockstep.  Storage is structure-of-arrays: a panel is a c_layout
    float64 [Bigarray.Array2.t] of dims [(n, stories)], so element
-   [(i, s)] is grid cell [i] of story [s] and the innermost loop over
-   stories walks contiguous memory.  Every batched routine replicates
-   the scalar routine's floating-point operations, per story, in the
-   same order — column [s] of the outputs is bit-identical to running
-   the scalar routine on story [s] alone.  (The loop interchange —
-   outer over [i], inner over [s] — is legal because the S systems are
-   independent: no cross-story value ever enters a story's data
-   flow.) *)
+   [(i, s)] is grid cell [i] of story [s].  [factorize_batch]
+   replicates [solve]'s pivot and c'-sweep per story, in the same
+   order, so the PDE panel stepper can run the remaining d'-sweep and
+   back-substitution bit-identically to [solve].  (The loop
+   interchange — outer over [i], inner over [s] — is legal because the
+   S systems are independent.) *)
 
 type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
@@ -92,57 +90,6 @@ let factorize_batch ~(sub : panel) ~(diag : panel) ~(sup : panel) ~(c : panel)
       if Float.abs mi < 1e-300 then raise Mat.Singular;
       unsafe_set m i s mi;
       if i < n - 1 then unsafe_set c i s (unsafe_get sup i s /. mi)
-    done
-  done
-
-let solve_factored_batch ~(sub : panel) ~(c : panel) ~(m : panel)
-    ~(src : panel) ~(dst : panel) =
-  let n = Bigarray.Array2.dim1 m in
-  let ns = Bigarray.Array2.dim2 m in
-  check_offdiag "solve_factored_batch" sub ~rows:(n - 1) ~stories:ns;
-  check_panel "solve_factored_batch" c ~rows:n ~stories:ns;
-  check_panel "solve_factored_batch" src ~rows:n ~stories:ns;
-  check_panel "solve_factored_batch" dst ~rows:n ~stories:ns;
-  let open Bigarray.Array2 in
-  (* [src == dst] is allowed: row [i] of [src] is read before row [i]
-     of [dst] is written, and earlier rows already hold d'. *)
-  for s = 0 to ns - 1 do
-    unsafe_set dst 0 s (unsafe_get src 0 s /. unsafe_get m 0 s)
-  done;
-  for i = 1 to n - 1 do
-    for s = 0 to ns - 1 do
-      unsafe_set dst i s
-        ((unsafe_get src i s
-         -. (unsafe_get sub (i - 1) s *. unsafe_get dst (i - 1) s))
-        /. unsafe_get m i s)
-    done
-  done;
-  for i = n - 2 downto 0 do
-    for s = 0 to ns - 1 do
-      unsafe_set dst i s
-        (unsafe_get dst i s -. (unsafe_get c i s *. unsafe_get dst (i + 1) s))
-    done
-  done
-
-let mv_batch ~(sub : panel) ~(diag : panel) ~(sup : panel) ~(src : panel)
-    ~(dst : panel) =
-  let n = Bigarray.Array2.dim1 diag in
-  let ns = Bigarray.Array2.dim2 diag in
-  check_offdiag "mv_batch" sub ~rows:(n - 1) ~stories:ns;
-  check_offdiag "mv_batch" sup ~rows:(n - 1) ~stories:ns;
-  check_panel "mv_batch" src ~rows:n ~stories:ns;
-  check_panel "mv_batch" dst ~rows:n ~stories:ns;
-  if src == dst then invalid_arg "Tridiag.mv_batch: src must not alias dst";
-  let open Bigarray.Array2 in
-  for i = 0 to n - 1 do
-    for s = 0 to ns - 1 do
-      (* accumulation order matches [mv]: diag, then sub, then sup *)
-      let acc = ref (unsafe_get diag i s *. unsafe_get src i s) in
-      if i > 0 then
-        acc := !acc +. (unsafe_get sub (i - 1) s *. unsafe_get src (i - 1) s);
-      if i < n - 1 then
-        acc := !acc +. (unsafe_get sup i s *. unsafe_get src (i + 1) s);
-      unsafe_set dst i s !acc
     done
   done
 

@@ -53,6 +53,26 @@ let check_bits name expect got =
       then Alcotest.failf "%s: cell %d: %.17g vs %.17g" name i v got.(i))
     expect
 
+(* The d'-sweep and back-substitution the panel stepper fuses into its
+   step, against a [factorize_batch] factorization, in [Tridiag.solve]'s
+   operation order.  [src == dst] is allowed, as in the stepper, which
+   stores d' and overwrites it with the solution in one column. *)
+let solve_column ~sub ~c ~m ~src ~dst ~n s =
+  let open Bigarray.Array2 in
+  set dst 0 s (get src 0 s /. get m 0 s);
+  for i = 1 to n - 1 do
+    set dst i s
+      ((get src i s -. (get sub (i - 1) s *. get dst (i - 1) s)) /. get m i s)
+  done;
+  for i = n - 2 downto 0 do
+    set dst i s (get dst i s -. (get c i s *. get dst (i + 1) s))
+  done
+
+let solve_panel_columns ~sub ~c ~m ~src ~dst ~n ~ns =
+  for s = 0 to ns - 1 do
+    solve_column ~sub ~c ~m ~src ~dst ~n s
+  done
+
 let test_factorize_matches_solve () =
   (* the batched c'-sweep + d'-sweep against the one-shot solve, down
      to the degenerate sizes (n = 1 has no off-diagonals at all) *)
@@ -66,9 +86,9 @@ let test_factorize_matches_solve () =
       and m = Tridiag.panel_create ~n ~stories:ns in
       Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
       let dst = Tridiag.panel_create ~n ~stories:ns in
-      Tridiag.solve_factored_batch ~sub ~c ~m
+      solve_panel_columns ~sub ~c ~m
         ~src:(pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)))
-        ~dst;
+        ~dst ~n ~ns;
       Array.iteri
         (fun s (t, b) ->
           check_bits (Printf.sprintf "n=%d story %d" n s) (Tridiag.solve t b)
@@ -96,19 +116,11 @@ let test_batch_thomas_matches_scalar () =
   Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
   let src = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
   let dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src ~dst;
+  solve_panel_columns ~sub ~c ~m ~src ~dst ~n ~ns;
   Array.iteri
     (fun s (t, b) ->
       check_bits (Printf.sprintf "story %d" s) (Tridiag.solve t b)
         (col dst ~n s))
-    systems;
-  (* mv_batch column s must match the scalar mv bit for bit *)
-  let mv_dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.mv_batch ~sub ~diag ~sup ~src ~dst:mv_dst;
-  Array.iteri
-    (fun s (t, b) ->
-      check_bits (Printf.sprintf "mv_batch story %d" s) (Tridiag.mv t b)
-        (col mv_dst ~n s))
     systems
 
 let test_factored_reused_across_rhs () =
@@ -126,9 +138,9 @@ let test_factored_reused_across_rhs () =
     let rhs =
       Array.init ns (fun _ -> Array.init n (fun _ -> Rng.uniform rng (-3.) 3.))
     in
-    Tridiag.solve_factored_batch ~sub ~c ~m
+    solve_panel_columns ~sub ~c ~m
       ~src:(pack_panel ~n ~ns (fun s i -> rhs.(s).(i)))
-      ~dst;
+      ~dst ~n ~ns;
     Array.iteri
       (fun s (t, _) ->
         check_bits (Printf.sprintf "story %d" s) (Tridiag.solve t rhs.(s))
@@ -137,7 +149,8 @@ let test_factored_reused_across_rhs () =
   done
 
 let test_batch_solve_in_place () =
-  (* src == dst is an in-place solve with identical bits *)
+  (* d' stored over the right-hand side and then overwritten by the
+     solution, in one column: identical bits *)
   let rng = Rng.create 23 in
   let n = 17 and ns = 3 in
   let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
@@ -146,7 +159,7 @@ let test_batch_solve_in_place () =
   and m = Tridiag.panel_create ~n ~stories:ns in
   Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
   let buf = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src:buf ~dst:buf;
+  solve_panel_columns ~sub ~c ~m ~src:buf ~dst:buf ~n ~ns;
   Array.iteri
     (fun s (t, b) ->
       check_bits (Printf.sprintf "in-place story %d" s) (Tridiag.solve t b)
@@ -230,6 +243,45 @@ let test_solve_bit_identical () =
        ("imex-cn", Pde.Imex 0.5, 0.01, all);
        ("imex-implicit", Pde.Imex 1., 0.01, all);
        ("strang", Pde.Strang, 0.01, named);
+     ])
+
+let test_fit_resolution_zero_cells () =
+  (* the configuration every Nelder--Mead objective evaluation solves
+     (nx 41, dt 0.05, Strang, t 1 -> 4), from a profile that is exactly
+     0 past x = 3.5, as a floored spline initial condition is: the
+     flows' u = 0 branch must match the reference too *)
+  List.iter
+    (fun (rname, reaction) ->
+      let p =
+        {
+          (dl_problem reaction) with
+          Pde.nx = 41;
+          initial =
+            (fun x -> if x > 3.5 then 0. else 8. *. exp (-0.5 *. (x -. 1.)));
+        }
+      in
+      let times = [| 2.; 3.; 4. |] in
+      check_solutions_bit_identical ("fit-resolution " ^ rname)
+        (Pde.solve ~scheme:Pde.Strang ~dt:0.05 p ~times)
+        (Pde.solve_reference ~scheme:Pde.Strang ~dt:0.05 p ~times))
+    [ ("logistic", `Logistic); ("linear", `Linear) ]
+
+let test_minimum_grid () =
+  (* nx = 3: every cell is a boundary or next to one *)
+  List.iter
+    (fun (name, scheme, reactions) ->
+      List.iter
+        (fun (rname, reaction) ->
+          let p = { (dl_problem reaction) with Pde.nx = 3 } in
+          check_solutions_bit_identical
+            (Printf.sprintf "nx=3 %s/%s" name rname)
+            (Pde.solve ~scheme ~dt:0.01 p ~times:ragged_times)
+            (Pde.solve_reference ~scheme ~dt:0.01 p ~times:ragged_times))
+        reactions)
+    (let named = [ ("logistic", `Logistic); ("linear", `Linear) ] in
+     [
+       ("strang", Pde.Strang, named);
+       ("imex-cn", Pde.Imex 0.5, named @ [ ("custom", `Custom) ]);
      ])
 
 let expect_invalid_arg what f =
@@ -325,14 +377,17 @@ let check_panel_matches_reference ?workspace ~scheme ~kinds seed ns =
     problems
 
 let prop_panel_bit_identity =
-  (* panel sizes 1/2/17, all three schemes, ragged snapshot times and
+  (* panel sizes 1/2/17, all three schemes (IMEX at theta 0.5 and 1),
+     ragged snapshot times and
      mixed reaction shapes — including Custom stories exercising the
      closure path under FTCS and IMEX.  Every column must reproduce the
      per-story reference solve bit for bit. *)
   QCheck.Test.make ~count:10 ~name:"solve_panel bit-identical per story"
-    QCheck.(triple (oneofl [ 1; 2; 17 ]) (oneofl [ 0; 1; 2 ]) small_nat)
+    QCheck.(triple (oneofl [ 1; 2; 17 ]) (oneofl [ 0; 1; 2; 3 ]) small_nat)
     (fun (ns, which, seed) ->
-      let scheme = [| Pde.Imex 0.5; Pde.Strang; Pde.Ftcs |].(which) in
+      let scheme =
+        [| Pde.Imex 0.5; Pde.Strang; Pde.Ftcs; Pde.Imex 1. |].(which)
+      in
       (* Strang panels cannot carry Custom; the others cycle all three *)
       let kinds s = if scheme = Pde.Strang then s mod 2 else s mod 3 in
       check_panel_matches_reference ~scheme ~kinds (seed + (7 * ns)) ns;
@@ -603,6 +658,9 @@ let suite =
     Alcotest.test_case "batch singular" `Quick test_batch_singular_raises;
     Alcotest.test_case "solve bit-identical to reference" `Quick
       test_solve_bit_identical;
+    Alcotest.test_case "fit-resolution strang with zero cells" `Quick
+      test_fit_resolution_zero_cells;
+    Alcotest.test_case "minimum grid bit-identical" `Quick test_minimum_grid;
     Alcotest.test_case "solve strang rejects custom" `Quick
       test_solve_strang_rejects_custom;
     Alcotest.test_case "solve metric attribution" `Quick
