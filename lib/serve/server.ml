@@ -217,7 +217,12 @@ let m_live_batches = Obs.Metrics.counter "live.batches"
 let m_live_stories = Obs.Metrics.gauge "live.stories"
 let m_live_fits = Obs.Metrics.counter "live.fits"
 let m_live_refits = Obs.Metrics.counter "live.refits"
-let m_live_drift = Obs.Metrics.histogram "live.drift"
+(* drift is a relative error, not nanoseconds: ratio buckets that
+   bracket the default 0.25 refit threshold *)
+let m_live_drift =
+  Obs.Metrics.histogram
+    ~buckets:[| 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.4; 0.5; 1.; 2. |]
+    "live.drift"
 let m_live_refit_ns = Obs.Metrics.histogram "live.refit_ns"
 
 (* connection-lifecycle series for the event loop: opened/closed totals,
@@ -1298,6 +1303,13 @@ let parse_observe_spec body =
       ob_initiator = initiator;
     }
 
+(* Largest live profile a first /observe batch may ask for.  The
+   profile is a [max_distance x times] count matrix and both sizes come
+   from the request, so without a cap one body under [max_body] could
+   ask for gigabytes.  Replayed Digg streams use 6 x 6. *)
+let max_observe_distance = 100
+let max_observe_times = 1000
+
 (* First batch for a story: build its live profile (resuming from a
    persisted observation cursor when the store carries one) and, when
    the server has graph context and the batch names the initiator,
@@ -1325,8 +1337,16 @@ let create_live_story t spec =
     let recovered = Hashtbl.find_opt t.live_cursors spec.ob_story in
     let watermark = match recovered with Some (_, c) -> c | None -> 0. in
     match
-      Live.Profile.create ~lateness ~watermark ~max_distance ~times
-        ~population ()
+      if max_distance > max_observe_distance then
+        invalid_arg
+          (Printf.sprintf "\"max_distance\" (or the population length) must \
+                           be <= %d" max_observe_distance)
+      else if Array.length times > max_observe_times then
+        invalid_arg
+          (Printf.sprintf "at most %d \"times\" per story" max_observe_times)
+      else
+        Live.Profile.create ~lateness ~watermark ~max_distance ~times
+          ~population ()
     with
     | exception Invalid_argument msg -> Error msg
     | profile ->

@@ -515,6 +515,33 @@ let vote_json (e : Socialnet.Replay.event) =
 
 let num_array a = J.List (List.map (fun v -> J.Number v) (Array.to_list a))
 
+(* cumulative count of the [live.drift] bucket [le] in a Prometheus
+   text body *)
+let drift_bucket body le =
+  let prefix = Printf.sprintf "dlosn_live_drift_bucket{le=\"%s\"} " le in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (String.split_on_char '\n' body)
+  with
+  | Some l -> int_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "no live.drift bucket le=%s on /metrics" le
+
+let test_drift_histogram_buckets () =
+  (* the server registers live.drift at start-up; this is its handle,
+     buckets included.  A 0.3 drift lies above the 0.25 threshold
+     bucket, not in the first of the old nanosecond buckets. *)
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let body =
+    Obs.Shard.with_shard (Obs.Shard.create ()) (fun () ->
+        Obs.Metrics.observe (Obs.Metrics.histogram "live.drift") 0.3;
+        Obs.Metrics.to_prometheus_string ())
+  in
+  Alcotest.(check (list int)) "0.3 counted from le=0.3 up" [ 0; 0; 1; 1 ]
+    (List.map (drift_bucket body) [ "0.2"; "0.25"; "0.3"; "+Inf" ])
+
 let test_e2e_observe_refit () =
   with_dir @@ fun dir ->
   let config =
@@ -537,7 +564,7 @@ let test_e2e_observe_refit () =
   Fun.protect ~finally:(fun () -> Serve.Client.close conn) @@ fun () ->
   let n = Array.length events in
   let batch = 40 in
-  let i = ref 0 in
+  let i = ref 0 and drifts = ref [] in
   while !i < n do
     let j = ref (min n (!i + batch)) in
     (* never split equal event times across a batch boundary, so a
@@ -569,11 +596,23 @@ let test_e2e_observe_refit () =
     let body = J.to_string (J.Object fields) in
     let r = ok (Serve.Client.request_on conn ~body "POST" "/observe") in
     Alcotest.(check int) "observe 200" 200 r.Serve.Client.status;
+    (match J.member "drift" (json_of r) with
+    | Some (J.Number d) -> drifts := d :: !drifts
+    | _ -> ());
     (* serialize daemon fits so each refit's input is a batch boundary *)
     ignore (wait_refit_idle conn story);
     i := !j
   done;
   let status = wait_refit_idle conn story in
+  (* every drift the batches reported sits in its ratio bucket on
+     /metrics; the drift-triggered refits mean some lie above 0.25 *)
+  let metrics =
+    (ok (Serve.Client.request_on conn "GET" "/metrics")).Serve.Client.body
+  in
+  let above = List.length (List.filter (fun d -> d > 0.25) !drifts) in
+  Alcotest.(check bool) "a reported drift above 0.25" true (above >= 1);
+  Alcotest.(check int) "drifts above the 0.25 bucket on /metrics" above
+    (drift_bucket metrics "+Inf" - drift_bucket metrics "0.25");
   let field name = member_exn name status in
   let fits = Option.get (J.to_int (field "fits")) in
   let refits = Option.get (J.to_int (field "refits")) in
@@ -703,6 +742,32 @@ let test_observe_validation () =
       {|{"story":"x","votes":[{"voter":1,"time":0.5}],"times":[1,2],"population":[10]}|}
   in
   Alcotest.(check int) "no distance, no graph" 400 r.Serve.Client.status;
+  (* profile size caps, enforced before the profile is allocated *)
+  let ints n =
+    String.concat "," (List.init n (fun i -> string_of_int (i + 1)))
+  in
+  let grid ~times ~population =
+    Printf.sprintf {|{"story":"big","votes":[],"times":[%s],"population":[%s]}|}
+      (ints times) (ints population)
+  in
+  let r =
+    post
+      {|{"story":"big","votes":[],"times":[1,2],"population":[10],"max_distance":101}|}
+  in
+  Alcotest.(check int) "max_distance over the cap" 400 r.Serve.Client.status;
+  let r = post (grid ~times:2 ~population:101) in
+  Alcotest.(check int) "population over the cap" 400 r.Serve.Client.status;
+  let r = post (grid ~times:1001 ~population:1) in
+  Alcotest.(check int) "times over the cap" 400 r.Serve.Client.status;
+  let live story =
+    json_of (ok (Serve.Client.request ~port "GET" ("/live?story=" ^ story)))
+    |> member_exn "stories" |> J.to_list |> Option.get |> List.length
+  in
+  Alcotest.(check int) "rejected batches create no story" 0 (live "big");
+  let r = post (grid ~times:1000 ~population:100) in
+  Alcotest.(check int) "a profile at the caps is accepted" 200
+    r.Serve.Client.status;
+  Alcotest.(check int) "and listed" 1 (live "big");
   (* a valid stream works and reports drop accounting *)
   let r =
     post
@@ -749,4 +814,5 @@ let suite =
         test_record_of_fit_carries_live_fields);
       ("e2e: observe -> drift -> warm refit daemon", `Slow, test_e2e_observe_refit);
       ("observe validation and drop accounting", `Quick, test_observe_validation);
+      ("live.drift ratio buckets", `Quick, test_drift_histogram_buckets);
     ]
