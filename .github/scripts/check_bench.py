@@ -38,7 +38,9 @@ run):
   the baseline by more than 20%.
 
 The panel entries also carry batching_gain (a loop of width-1
-Pde.solve calls / the panel), which is printed but not gated.
+Pde.solve calls / the panel), which is printed but not gated.  So is
+the solver section's fit_resolution entry: the Strang solve every
+Nelder-Mead objective evaluation runs (nx 41, dt 0.05, t 1 -> 4).
 """
 import json
 import sys
@@ -65,7 +67,7 @@ def solver_of(path):
         fail(f"{path}: no solver section")
     schemes = {s["name"]: s for s in solver["schemes"]}
     panel = {p["name"]: p for p in solver.get("panel", [])}
-    return schemes, panel
+    return schemes, panel, solver.get("fit_resolution")
 
 
 def check_schemes(current, baseline):
@@ -161,13 +163,20 @@ def check_panel(current, baseline):
 
 
 def main():
-    cur_schemes, cur_panel = solver_of(sys.argv[1])
-    base_schemes, base_panel = solver_of(sys.argv[2])
+    cur_schemes, cur_panel, cur_fit = solver_of(sys.argv[1])
+    base_schemes, base_panel, _ = solver_of(sys.argv[2])
 
     checked = check_schemes(cur_schemes, base_schemes)
     panel_checked = check_panel(cur_panel, base_panel)
     if base_panel and panel_checked == 0:
         fail("baseline contained panel entries but none were checked")
+    if cur_fit:
+        print(
+            f"check_bench: fit-resolution strang (nx {cur_fit['nx']}, "
+            f"dt {cur_fit['dt']}): {cur_fit['fast_ns_per_solve'] / 1e3:.1f} us"
+            f"/solve, {cur_fit['fast_minor_words_per_solve']:.0f} words/solve, "
+            f"identical={cur_fit['identical']} (ungated)"
+        )
     print(
         f"check_bench: OK — {checked} schemes and {panel_checked} panels "
         f"within tolerance"

@@ -1329,6 +1329,42 @@ let scheme_of_bench_name = function
   | "strang" -> Numerics.Pde.Strang
   | _ -> assert false
 
+(* One solver row: [Pde.solve] against [Pde.solve_reference] on [p]. *)
+let solver_row ~reps ~dt ~times p name =
+  let module Pde = Numerics.Pde in
+  let scheme = scheme_of_bench_name name in
+  let fast () = Pde.solve ~scheme ~dt p ~times in
+  let reference () = Pde.solve_reference ~scheme ~dt p ~times in
+  (* actual step count read back from the step counter (FTCS
+     sub-steps below the CFL limit, so it differs per scheme) *)
+  let c_steps = Obs.Metrics.counter "pde.steps" in
+  let before = Obs.Metrics.counter_value c_steps in
+  let fast_sol = fast () in
+  let steps = Obs.Metrics.counter_value c_steps - before in
+  let vb_identical = solutions_identical fast_sol (reference ()) in
+  let fast_s, fast_w = time_and_alloc ~reps fast in
+  let ref_s, ref_w = time_and_alloc ~reps reference in
+  let per_step s = s *. 1e9 /. float_of_int steps in
+  {
+    vb_name = name;
+    vb_steps = steps;
+    vb_fast_ns = per_step fast_s;
+    vb_ref_ns = per_step ref_s;
+    vb_speedup = ref_s /. fast_s;
+    vb_fast_minor_words = fast_w;
+    vb_ref_minor_words = ref_w;
+    vb_alloc_ratio = ref_w /. fast_w;
+    vb_identical;
+  }
+
+let print_solver_row b =
+  Format.printf "  %-10s %7d %12.0f %12.0f %8.2f %14.0f %14.0f %7.1f %b@."
+    b.vb_name b.vb_steps b.vb_fast_ns b.vb_ref_ns b.vb_speedup
+    b.vb_fast_minor_words b.vb_ref_minor_words b.vb_alloc_ratio b.vb_identical
+
+(* The gated scheme rows (nx 101, dt 0.01, t 1 -> 6) and the ungated
+   fit-resolution Strang row: the solve every Nelder--Mead objective
+   evaluation runs (nx 41, dt 0.05, t 1 -> 4). *)
 let run_solver_bench () =
   section "Solver: Pde.solve (a width-1 panel) vs the reference stepper";
   let module Pde = Numerics.Pde in
@@ -1344,47 +1380,26 @@ let run_solver_bench () =
       t0 = 1.;
     }
   in
-  let times = [| 2.; 3.; 4.; 5.; 6. |] in
-  let dt = 0.01 in
-  let bench name =
-    let scheme = scheme_of_bench_name name in
-    let fast () = Pde.solve ~scheme ~dt p ~times in
-    let reference () = Pde.solve_reference ~scheme ~dt p ~times in
-    (* actual step count read back from the step counter (FTCS
-       sub-steps below the CFL limit, so it differs per scheme) *)
-    let c_steps = Obs.Metrics.counter "pde.steps" in
-    let before = Obs.Metrics.counter_value c_steps in
-    let fast_sol = fast () in
-    let steps = Obs.Metrics.counter_value c_steps - before in
-    let vb_identical = solutions_identical fast_sol (reference ()) in
-    let fast_s, fast_w = time_and_alloc ~reps:25 fast in
-    let ref_s, ref_w = time_and_alloc ~reps:25 reference in
-    let per_step s = s *. 1e9 /. float_of_int steps in
-    {
-      vb_name = name;
-      vb_steps = steps;
-      vb_fast_ns = per_step fast_s;
-      vb_ref_ns = per_step ref_s;
-      vb_speedup = ref_s /. fast_s;
-      vb_fast_minor_words = fast_w;
-      vb_ref_minor_words = ref_w;
-      vb_alloc_ratio = ref_w /. fast_w;
-      vb_identical;
-    }
+  let rows =
+    List.map
+      (solver_row ~reps:25 ~dt:0.01 p ~times:[| 2.; 3.; 4.; 5.; 6. |])
+      [ "ftcs"; "imex-cn"; "strang" ]
   in
-  let rows = List.map bench [ "ftcs"; "imex-cn"; "strang" ] in
+  let fit =
+    solver_row ~reps:500 ~dt:0.05 { p with Pde.nx = 41 } ~times:[| 2.; 3.; 4. |]
+      "strang"
+  in
   Format.printf
     "  %-10s %7s %12s %12s %8s %14s %14s %7s %s@." "scheme" "steps"
     "fast ns/st" "ref ns/st" "speedup" "fast words/sv" "ref words/sv"
     "alloc x" "identical";
-  List.iter
-    (fun b ->
-      Format.printf "  %-10s %7d %12.0f %12.0f %8.2f %14.0f %14.0f %7.1f %b@."
-        b.vb_name b.vb_steps b.vb_fast_ns b.vb_ref_ns b.vb_speedup
-        b.vb_fast_minor_words b.vb_ref_minor_words b.vb_alloc_ratio
-        b.vb_identical)
-    rows;
-  rows
+  List.iter print_solver_row rows;
+  print_solver_row { fit with vb_name = "strang-fit" };
+  Format.printf
+    "  (strang-fit: nx 41, dt 0.05, t 1 -> 4, the fits' solve, %.1f us per \
+     solve; ungated)@."
+    (fit.vb_fast_ns *. float_of_int fit.vb_steps /. 1e3);
+  (rows, fit)
 
 (* ------------------------------------------------------------------ *)
 (* Panel bench: fused multi-story panel vs per-story solves            *)
@@ -1611,9 +1626,17 @@ let run_tournament_bench () =
 
 (* the "solver" object shared by the full bench JSON and the
    standalone solver-only JSON CI gates on *)
-let write_solver_obj oc ~solver ~panel =
+let write_solver_obj oc ~solver:(solver, fit) ~panel =
   let out fmt = Printf.fprintf oc fmt in
-  out "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"schemes\": [\n";
+  out
+    "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"fit_resolution\": \
+     {\"nx\": 41, \"dt\": 0.05, \"t_end\": 4, \"steps_per_solve\": %d, \
+     \"fast_ns_per_solve\": %s, \"fast_minor_words_per_solve\": %s, \
+     \"speedup\": %s, \"identical\": %b}, \"schemes\": [\n"
+    fit.vb_steps
+    (json_float (fit.vb_fast_ns *. float_of_int fit.vb_steps))
+    (json_float fit.vb_fast_minor_words) (json_float fit.vb_speedup)
+    fit.vb_identical;
   List.iteri
     (fun i b ->
       out
@@ -2041,7 +2064,7 @@ let () =
     write_solver_json ~path:json_path ~solver ~panel;
     Format.printf "solver bench written to %s@." json_path;
     let ok =
-      List.for_all (fun b -> b.vb_identical) solver
+      List.for_all (fun b -> b.vb_identical) (snd solver :: fst solver)
       && List.for_all (fun b -> b.pn_identical) panel
     in
     exit (if ok then 0 else 1)
