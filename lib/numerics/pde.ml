@@ -430,21 +430,19 @@ let[@inline] rk2_increment b problems s ~x ~t ~dt ui =
     dt *. (k1 +. k2) /. 2.
   end
 
-(* Exact-flow factor exp(±∫r) over [a, a+half], per story and per
-   Strang half: x-independent, so computed once per story — exactly the
-   value the reference's one-slot Simpson memo hands every cell, in its
-   call order ([t, t+half] then [t+half, t+dt]). *)
-let hoist_flows b problems t half =
-  let t2 = t +. half in
+(* Exact-flow factor exp(±∫r) over the half step [a, a + dt/2] per
+   story, into [dst]: x-independent, so computed once per story —
+   exactly the value the reference's one-slot Simpson memo hands every
+   cell. *)
+let hoist_flows b problems (dst : float array) a dt =
+  let half = dt /. 2. in
   for s = 0 to b.pb_ns - 1 do
     match problems.(s).reaction with
     | Logistic { r; k } ->
-      b.pb_flow.(s) <- exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-      b.pb_flow2.(s) <- exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8);
+      dst.(s) <- exp (-.Quadrature.simpson r ~a ~b:(a +. half) ~n:8);
       b.pb_k.(s) <- k
     | Linear { r } ->
-      b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-      b.pb_flow2.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
+      dst.(s) <- exp (Quadrature.simpson r ~a ~b:(a +. half) ~n:8)
     | Custom _ -> assert false (* rejected by [check_args] *)
   done
 
@@ -561,7 +559,10 @@ let step_panel b problems xs h2w scheme t dt =
     done
   | Strang ->
     panel_ops b scheme dt;
-    hoist_flows b problems t (dt /. 2.);
+    (* both half steps' factors, in the reference's call order; passing
+       [dt], not a let-bound [dt /. 2.], keeps the half step unboxed *)
+    hoist_flows b problems b.pb_flow t dt;
+    hoist_flows b problems b.pb_flow2 (t +. (dt /. 2.)) dt;
     for s = 0 to ns - 1 do
       strang_sweep b s
     done);
