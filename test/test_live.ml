@@ -531,7 +531,7 @@ let drift_bucket body le =
 let test_drift_histogram_buckets () =
   (* the server registers live.drift at start-up; this is its handle,
      buckets included.  A 0.3 drift lies above the 0.25 threshold
-     bucket, not in the first of the old nanosecond buckets. *)
+     bucket. *)
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let body =
