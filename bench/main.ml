@@ -839,22 +839,17 @@ let print_parallel_scaling ds =
 (* Bench JSON: machine-readable timings for CI artifacts               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Obs.Json
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
+let jnum v = J.Number v
+let jint i = J.Number (float_of_int i)
+
+(* one JSON document per file, newline-terminated *)
+let write_json ~path fields =
+  let oc = open_out path in
+  output_string oc (J.to_string (J.Object fields));
+  output_char oc '\n';
+  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Serve load: loopback throughput of the prediction-serving layer     *)
@@ -1084,7 +1079,6 @@ let live_batch_size = 25
    and the daemon refits need real worker threads of their own. *)
 let run_live_bench () =
   section "Live: /observe ingestion throughput, daemon refit cadence";
-  let module J = Serve.Tiny_json in
   let jobs = if Parallel.Pool.domains_available then 2 else 1 in
   let config =
     { Serve.Server.default_config with Serve.Server.port = 0; jobs }
@@ -1624,130 +1618,139 @@ let run_tournament_bench () =
   Format.printf "%a" Dl.Tournament.pp lb;
   lb
 
-(* the "solver" object shared by the full bench JSON and the
-   standalone solver-only JSON CI gates on *)
-let write_solver_obj oc ~solver:(solver, fit) ~panel =
-  let out fmt = Printf.fprintf oc fmt in
-  out
-    "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"fit_resolution\": \
-     {\"nx\": 41, \"dt\": 0.05, \"t_end\": 4, \"steps_per_solve\": %d, \
-     \"fast_ns_per_solve\": %s, \"fast_minor_words_per_solve\": %s, \
-     \"speedup\": %s, \"identical\": %b}, \"schemes\": [\n"
-    fit.vb_steps
-    (json_float (fit.vb_fast_ns *. float_of_int fit.vb_steps))
-    (json_float fit.vb_fast_minor_words) (json_float fit.vb_speedup)
-    fit.vb_identical;
-  List.iteri
-    (fun i b ->
-      out
-        "    {\"name\": \"%s\", \"steps_per_solve\": %d, \
-         \"fast_ns_per_step\": %s, \"ref_ns_per_step\": %s, \"speedup\": \
-         %s, \"fast_minor_words_per_solve\": %s, \
-         \"ref_minor_words_per_solve\": %s, \"alloc_ratio\": %s, \
-         \"identical\": %b}%s\n"
-        (json_escape b.vb_name) b.vb_steps
-        (json_float b.vb_fast_ns) (json_float b.vb_ref_ns)
-        (json_float b.vb_speedup)
-        (json_float b.vb_fast_minor_words)
-        (json_float b.vb_ref_minor_words)
-        (json_float b.vb_alloc_ratio) b.vb_identical
-        (if i = List.length solver - 1 then "" else ","))
-    solver;
-  out "  ], \"panel\": [\n";
-  List.iteri
-    (fun i b ->
-      out
-        "    {\"name\": \"%s\", \"stories\": %d, \"steps_per_solve\": %d, \
-         \"panel_ns_per_story_step\": %s, \"scalar_ns_per_story_step\": %s, \
-         \"speedup\": %s, \"panel_minor_words_per_story\": %s, \
-         \"scalar_minor_words_per_story\": %s, \"alloc_ratio\": %s, \
-         \"width1_ns_per_story_step\": %s, \"batching_gain\": %s, \
-         \"identical\": %b}%s\n"
-        (json_escape b.pn_name) b.pn_stories b.pn_steps
-        (json_float b.pn_panel_ns) (json_float b.pn_scalar_ns)
-        (json_float b.pn_speedup)
-        (json_float b.pn_panel_words)
-        (json_float b.pn_scalar_words)
-        (json_float b.pn_alloc_ratio) (json_float b.pn_width1_ns)
-        (json_float b.pn_batching) b.pn_identical
-        (if i = List.length panel - 1 then "" else ","))
-    panel;
-  out "  ]}"
+(* The serve, live, solver and store objects, each shared by the full
+   bench JSON and a standalone JSON that CI gates on without paying for
+   the full harness. *)
+
+let serve_json sl =
+  J.Object
+    [
+      ("requests", jint sl.sl_requests);
+      ("connections", jint sl.sl_connections);
+      ("reused", jint sl.sl_reused);
+      ("dropped", jint sl.sl_dropped);
+      ("drained", J.Bool sl.sl_drained);
+      ("seconds", jnum sl.sl_seconds);
+      ("rps", jnum sl.sl_rps);
+      ("p50_ms", jnum sl.sl_p50_ms);
+      ("p99_ms", jnum sl.sl_p99_ms);
+    ]
+
+let live_json lb =
+  J.Object
+    [
+      ("votes", jint lb.lb_votes);
+      ("batches", jint lb.lb_batches);
+      ("dropped", jint lb.lb_dropped);
+      ("seconds", jnum lb.lb_seconds);
+      ("votes_per_s", jnum lb.lb_votes_per_s);
+      ("observe_p50_ms", jnum lb.lb_p50_ms);
+      ("observe_p99_ms", jnum lb.lb_p99_ms);
+      ("fits", jint lb.lb_fits);
+      ("refits", jint lb.lb_refits);
+      ("warm_refit_s", jnum lb.lb_warm_s);
+      ("cold_refit_s", jnum lb.lb_cold_s);
+      ("warm_evals", jint lb.lb_warm_evals);
+      ("cold_evals", jint lb.lb_cold_evals);
+    ]
+
+let solver_json ~solver:(solver, fit) ~panel =
+  let scheme b =
+    J.Object
+      [
+        ("name", J.String b.vb_name);
+        ("steps_per_solve", jint b.vb_steps);
+        ("fast_ns_per_step", jnum b.vb_fast_ns);
+        ("ref_ns_per_step", jnum b.vb_ref_ns);
+        ("speedup", jnum b.vb_speedup);
+        ("fast_minor_words_per_solve", jnum b.vb_fast_minor_words);
+        ("ref_minor_words_per_solve", jnum b.vb_ref_minor_words);
+        ("alloc_ratio", jnum b.vb_alloc_ratio);
+        ("identical", J.Bool b.vb_identical);
+      ]
+  in
+  let panel_case b =
+    J.Object
+      [
+        ("name", J.String b.pn_name);
+        ("stories", jint b.pn_stories);
+        ("steps_per_solve", jint b.pn_steps);
+        ("panel_ns_per_story_step", jnum b.pn_panel_ns);
+        ("scalar_ns_per_story_step", jnum b.pn_scalar_ns);
+        ("speedup", jnum b.pn_speedup);
+        ("panel_minor_words_per_story", jnum b.pn_panel_words);
+        ("scalar_minor_words_per_story", jnum b.pn_scalar_words);
+        ("alloc_ratio", jnum b.pn_alloc_ratio);
+        ("width1_ns_per_story_step", jnum b.pn_width1_ns);
+        ("batching_gain", jnum b.pn_batching);
+        ("identical", J.Bool b.pn_identical);
+      ]
+  in
+  J.Object
+    [
+      ("nx", jint 101);
+      ("dt", jnum 0.01);
+      ( "fit_resolution",
+        J.Object
+          [
+            ("nx", jint 41);
+            ("dt", jnum 0.05);
+            ("t_end", jint 4);
+            ("steps_per_solve", jint fit.vb_steps);
+            ( "fast_ns_per_solve",
+              jnum (fit.vb_fast_ns *. float_of_int fit.vb_steps) );
+            ("fast_minor_words_per_solve", jnum fit.vb_fast_minor_words);
+            ("speedup", jnum fit.vb_speedup);
+            ("identical", J.Bool fit.vb_identical);
+          ] );
+      ("schemes", J.List (List.map scheme solver));
+      ("panel", J.List (List.map panel_case panel));
+    ]
+
+let store_json sb =
+  J.Object
+    [
+      ("records", jint sb.sb_records);
+      ("appends_per_s", jnum sb.sb_appends_per_s);
+      ("fsync_appends_per_s", jnum sb.sb_fsync_appends_per_s);
+      ("wal_recovery_s", jnum sb.sb_wal_recovery_s);
+      ("snapshot_recovery_s", jnum sb.sb_snapshot_recovery_s);
+      ("wal_bytes", jint sb.sb_wal_bytes);
+    ]
 
 let write_bench_json ~path ~scale_name ~scaling ~micro ~serve_load ~live
     ~solver ~panel ~store ~tournament =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"dlosn-bench/1\",\n";
-  out "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  out "  \"domains_available\": %b,\n" Parallel.Pool.domains_available;
-  out "  \"recommended_domains\": %d,\n" (Parallel.Pool.recommended_jobs ());
-  out "  \"num_domains_env\": %s,\n"
-    (match Sys.getenv_opt Parallel.Pool.env_var with
-    | Some v -> Printf.sprintf "\"%s\"" (json_escape v)
-    | None -> "null");
-  out "  \"batch_fit_scaling\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"jobs\": %d, \"seconds\": %s, \"speedup\": %s, \
-         \"identical_to_jobs1\": %b}%s\n"
-        r.run_jobs (json_float r.run_seconds) (json_float r.run_speedup)
-        r.run_identical
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  out "  ],\n";
-  out "  \"microbench_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "    {\"name\": \"%s\", \"ns\": %s}%s\n" (json_escape name)
-        (json_float ns)
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n";
-  out
-    "  \"serve\": {\"requests\": %d, \"connections\": %d, \"reused\": %d, \
-     \"dropped\": %d, \"drained\": %b, \"seconds\": %s, \"rps\": %s, \
-     \"p50_ms\": %s, \"p99_ms\": %s},\n"
-    serve_load.sl_requests serve_load.sl_connections serve_load.sl_reused
-    serve_load.sl_dropped serve_load.sl_drained
-    (json_float serve_load.sl_seconds)
-    (json_float serve_load.sl_rps)
-    (json_float serve_load.sl_p50_ms)
-    (json_float serve_load.sl_p99_ms);
-  out
-    "  \"live\": {\"votes\": %d, \"batches\": %d, \"dropped\": %d, \
-     \"seconds\": %s, \"votes_per_s\": %s, \"observe_p50_ms\": %s, \
-     \"observe_p99_ms\": %s, \"fits\": %d, \"refits\": %d, \
-     \"warm_refit_s\": %s, \"cold_refit_s\": %s, \"warm_evals\": %d, \
-     \"cold_evals\": %d},\n"
-    live.lb_votes live.lb_batches live.lb_dropped
-    (json_float live.lb_seconds)
-    (json_float live.lb_votes_per_s)
-    (json_float live.lb_p50_ms)
-    (json_float live.lb_p99_ms)
-    live.lb_fits live.lb_refits
-    (json_float live.lb_warm_s)
-    (json_float live.lb_cold_s)
-    live.lb_warm_evals live.lb_cold_evals;
-  write_solver_obj oc ~solver ~panel;
-  out ",\n";
-  (* the leaderboard document (schema dlosn-tournament/1) embeds as-is *)
-  out "  \"tournament\": %s,\n"
-    (String.trim (Dl.Tournament.json_string tournament));
-  out
-    "  \"store\": {\"records\": %d, \"appends_per_s\": %s, \
-     \"fsync_appends_per_s\": %s, \"wal_recovery_s\": %s, \
-     \"snapshot_recovery_s\": %s, \"wal_bytes\": %d}\n"
-    store.sb_records
-    (json_float store.sb_appends_per_s)
-    (json_float store.sb_fsync_appends_per_s)
-    (json_float store.sb_wal_recovery_s)
-    (json_float store.sb_snapshot_recovery_s)
-    store.sb_wal_bytes;
-  out "}\n";
-  close_out oc;
+  let scaling_run r =
+    J.Object
+      [
+        ("jobs", jint r.run_jobs);
+        ("seconds", jnum r.run_seconds);
+        ("speedup", jnum r.run_speedup);
+        ("identical_to_jobs1", J.Bool r.run_identical);
+      ]
+  in
+  let micro_row (name, ns) =
+    J.Object [ ("name", J.String name); ("ns", jnum ns) ]
+  in
+  write_json ~path
+    [
+      ("schema", J.String "dlosn-bench/1");
+      ("scale", J.String scale_name);
+      ("domains_available", J.Bool Parallel.Pool.domains_available);
+      ("recommended_domains", jint (Parallel.Pool.recommended_jobs ()));
+      ( "num_domains_env",
+        match Sys.getenv_opt Parallel.Pool.env_var with
+        | Some v -> J.String v
+        | None -> J.Null );
+      ("batch_fit_scaling", J.List (List.map scaling_run scaling));
+      ("microbench_ns_per_run", J.List (List.map micro_row micro));
+      ("serve", serve_json serve_load);
+      ("live", live_json live);
+      ("solver", solver_json ~solver ~panel);
+      (* the leaderboard document (schema dlosn-tournament/1) embeds as-is *)
+      ("tournament", Dl.Tournament.to_json tournament);
+      ("store", store_json store);
+    ];
   Format.printf "@.bench JSON written to %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1974,54 +1977,6 @@ let run_benchmarks () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Serve-only JSON: the same "serve" object write_bench_json embeds,
-   standalone — what CI gates on and uploads without paying for the
-   full harness. *)
-let write_serve_json ~path serve_load =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"dlosn-bench-serve/1\",\n  \"serve\": {\"requests\": \
-     %d, \"connections\": %d, \"reused\": %d, \"dropped\": %d, \"drained\": \
-     %b, \"seconds\": %s, \"rps\": %s, \"p50_ms\": %s, \"p99_ms\": %s}\n}\n"
-    serve_load.sl_requests serve_load.sl_connections serve_load.sl_reused
-    serve_load.sl_dropped serve_load.sl_drained
-    (json_float serve_load.sl_seconds)
-    (json_float serve_load.sl_rps)
-    (json_float serve_load.sl_p50_ms)
-    (json_float serve_load.sl_p99_ms);
-  close_out oc
-
-(* Live-only JSON: the same "live" object write_bench_json embeds,
-   standalone — CI's streaming-ingestion gate. *)
-let write_live_json ~path live =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"dlosn-bench-live/1\",\n  \"live\": {\"votes\": %d, \
-     \"batches\": %d, \"dropped\": %d, \"seconds\": %s, \"votes_per_s\": \
-     %s, \"observe_p50_ms\": %s, \"observe_p99_ms\": %s, \"fits\": %d, \
-     \"refits\": %d, \"warm_refit_s\": %s, \"cold_refit_s\": %s, \
-     \"warm_evals\": %d, \"cold_evals\": %d}\n}\n"
-    live.lb_votes live.lb_batches live.lb_dropped
-    (json_float live.lb_seconds)
-    (json_float live.lb_votes_per_s)
-    (json_float live.lb_p50_ms)
-    (json_float live.lb_p99_ms)
-    live.lb_fits live.lb_refits
-    (json_float live.lb_warm_s)
-    (json_float live.lb_cold_s)
-    live.lb_warm_evals live.lb_cold_evals;
-  close_out oc
-
-(* Solver-only JSON: the same "solver" object write_bench_json embeds,
-   standalone — lets CI gate the panel bit-identity and speedup at
-   several domain counts without paying for the full harness. *)
-let write_solver_json ~path ~solver ~panel =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"dlosn-bench-solver/1\",\n";
-  write_solver_obj oc ~solver ~panel;
-  Printf.fprintf oc "\n}\n";
-  close_out oc
-
 let () =
   (* The harness always records internal counters (fit iterations, PDE
      steps, pool balance) so BENCH_*.json trajectories carry more than
@@ -2034,7 +1989,11 @@ let () =
       | Some p -> p
       | None -> "bench_serve.json"
     in
-    write_serve_json ~path:json_path serve_load;
+    write_json ~path:json_path
+      [
+        ("schema", J.String "dlosn-bench-serve/1");
+        ("serve", serve_json serve_load);
+      ];
     Format.printf "serve bench written to %s@." json_path;
     exit (if serve_load.sl_dropped = 0 && serve_load.sl_drained then 0 else 1)
   end;
@@ -2045,7 +2004,8 @@ let () =
       | Some p -> p
       | None -> "bench_live.json"
     in
-    write_live_json ~path:json_path live;
+    write_json ~path:json_path
+      [ ("schema", J.String "dlosn-bench-live/1"); ("live", live_json live) ];
     Format.printf "live bench written to %s@." json_path;
     let ok =
       live.lb_dropped = 0 && live.lb_votes > 0 && live.lb_fits >= 1
@@ -2061,7 +2021,11 @@ let () =
       | Some p -> p
       | None -> "bench_solver.json"
     in
-    write_solver_json ~path:json_path ~solver ~panel;
+    write_json ~path:json_path
+      [
+        ("schema", J.String "dlosn-bench-solver/1");
+        ("solver", solver_json ~solver ~panel);
+      ];
     Format.printf "solver bench written to %s@." json_path;
     let ok =
       List.for_all (fun b -> b.vb_identical) (snd solver :: fst solver)

@@ -264,67 +264,41 @@ let synthetic_stories ?(n = 4) ?(seed = 7) () =
           population = Array.make 5 1000;
         } ))
 
-(* --- JSON (hand-rolled: Tiny_json lives above this library) --- *)
+(* --- JSON --- *)
 
 let schema_version = "dlosn-tournament/1"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let to_json lb =
+  let open Obs.Json in
+  let num v = Number v in
+  let int i = Number (float_of_int i) in
+  let floats a = List (Array.to_list (Array.map num a)) in
+  let entry e =
+    Object
+      [
+        ("model", String e.e_model);
+        ("ok", Bool e.e_ok);
+        ("error", match e.e_error with None -> Null | Some m -> String m);
+        ("mean_rel_err", num e.e_mean_rel_err);
+        ("training_error", num e.e_training_error);
+        ("per_story", floats e.e_per_story);
+        ("fit_ms", num e.e_fit_ms);
+        ("predict_ms", num e.e_predict_ms);
+        ("evaluations", int e.e_evaluations);
+      ]
+  in
+  Object
+    [
+      ("schema", String schema_version);
+      ("seed", int lb.lb_seed);
+      ("jobs", int lb.lb_jobs);
+      ("fit_times", floats lb.lb_fit_times);
+      ( "stories",
+        List (Array.to_list (Array.map (fun s -> String s) lb.lb_stories)) );
+      ("leaderboard", List (Array.to_list (Array.map entry lb.lb_entries)));
+    ]
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-
-let json_string lb =
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"%s\",\n" schema_version;
-  out "  \"seed\": %d,\n" lb.lb_seed;
-  out "  \"jobs\": %d,\n" lb.lb_jobs;
-  out "  \"fit_times\": [%s],\n"
-    (String.concat ", "
-       (Array.to_list (Array.map json_float lb.lb_fit_times)));
-  out "  \"stories\": [%s],\n"
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun s -> Printf.sprintf "\"%s\"" (json_escape s))
-             lb.lb_stories)));
-  out "  \"leaderboard\": [\n";
-  Array.iteri
-    (fun i e ->
-      out "    {\"model\": \"%s\", \"ok\": %b, \"error\": %s, "
-        (json_escape e.e_model) e.e_ok
-        (match e.e_error with
-        | None -> "null"
-        | Some m -> Printf.sprintf "\"%s\"" (json_escape m));
-      out "\"mean_rel_err\": %s, \"training_error\": %s, "
-        (json_float e.e_mean_rel_err)
-        (json_float e.e_training_error);
-      out "\"per_story\": [%s], "
-        (String.concat ", "
-           (Array.to_list (Array.map json_float e.e_per_story)));
-      out "\"fit_ms\": %s, \"predict_ms\": %s, \"evaluations\": %d}%s\n"
-        (json_float e.e_fit_ms) (json_float e.e_predict_ms) e.e_evaluations
-        (if i < Array.length lb.lb_entries - 1 then "," else "");
-      ())
-    lb.lb_entries;
-  out "  ]\n";
-  out "}\n";
-  Buffer.contents buf
+let json_string lb = Obs.Json.to_string (to_json lb) ^ "\n"
 
 let pp ppf lb =
   Format.fprintf ppf "%-4s %-14s %12s %12s %10s %8s@." "rank" "model"

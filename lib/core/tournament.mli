@@ -14,7 +14,7 @@
 
     Results also land in [Obs] metrics ([tournament.*], labelled by
     model name) and serialise to the versioned leaderboard JSON
-    embedded by the bench harness ({!json_string},
+    embedded by the bench harness ({!to_json},
     schema {!schema_version}). *)
 
 type entry = {
@@ -73,13 +73,17 @@ val synthetic_stories :
 val schema_version : string
 (** ["dlosn-tournament/1"]. *)
 
-val json_string : leaderboard -> string
-(** The leaderboard as a JSON document: [{"schema": …, "seed": …,
+val to_json : leaderboard -> Obs.Json.t
+(** The leaderboard as a JSON value: [{"schema": …, "seed": …,
     "jobs": …, "fit_times": […], "stories": […], "leaderboard":
     [{"model": …, "ok": …, "error": …, "mean_rel_err": …,
     "training_error": …, "per_story": […], "fit_ms": …,
-    "predict_ms": …, "evaluations": …}, …]}].  Non-finite floats
-    render as [null]. *)
+    "predict_ms": …, "evaluations": …}, …]}].  Floats print with
+    {!Obs.Json.number}, so each reads back bit for bit; non-finite
+    floats render as [null]. *)
+
+val json_string : leaderboard -> string
+(** {!to_json} rendered on one line, newline-terminated. *)
 
 val pp : Format.formatter -> leaderboard -> unit
 (** Fixed-width leaderboard table (rank, model, held-out error,

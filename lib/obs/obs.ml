@@ -71,25 +71,7 @@ module Level = struct
       Error (Printf.sprintf "unknown log level %S (%s)" other valid_names)
 end
 
-(* --- JSON helpers (shared by the log sink and the metrics dump) --- *)
-
-let json_escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let json_float v =
-  (* JSON has no NaN/Infinity; map them to null. %.17g round-trips. *)
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
+module Json = Json
 
 (* --- structured logger --- *)
 
@@ -137,12 +119,9 @@ module Log = struct
     min_level >= 0 && Level.to_int l >= min_level
 
   let add_value_json buf = function
-    | String s ->
-      Buffer.add_char buf '"';
-      json_escape_into buf s;
-      Buffer.add_char buf '"'
+    | String s -> Json.add_string buf s
     | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (json_float f)
+    | Float f -> Buffer.add_string buf (Json.number f)
     | Bool b -> Buffer.add_string buf (string_of_bool b)
 
   let add_value_human buf = function
@@ -178,20 +157,18 @@ module Log = struct
       Buffer.add_string buf (Printf.sprintf "%.6f" ts);
       Buffer.add_string buf ",\"level\":\"";
       Buffer.add_string buf (Level.to_string l);
-      Buffer.add_string buf "\",\"msg\":\"";
-      json_escape_into buf msg;
-      Buffer.add_char buf '"';
+      Buffer.add_string buf "\",\"msg\":";
+      Json.add_string buf msg;
       (match trace with
       | None -> ()
       | Some tid ->
-        Buffer.add_string buf ",\"trace_id\":\"";
-        json_escape_into buf tid;
-        Buffer.add_char buf '"');
+        Buffer.add_string buf ",\"trace_id\":";
+        Json.add_string buf tid);
       List.iter
         (fun (k, v) ->
-          Buffer.add_string buf ",\"";
-          json_escape_into buf k;
-          Buffer.add_string buf "\":";
+          Buffer.add_char buf ',';
+          Json.add_string buf k;
+          Buffer.add_char buf ':';
           add_value_json buf v)
         fields;
       Buffer.add_char buf '}'
@@ -413,15 +390,10 @@ module Metrics = struct
     let buf = Buffer.create 1024 in
     let add = Buffer.add_string buf in
     let add_name_label (d : def) =
-      add "{\"name\":\"";
-      json_escape_into buf d.name;
-      add "\",\"label\":";
-      (match d.label with
-      | None -> add "null"
-      | Some l ->
-        add "\"";
-        json_escape_into buf l;
-        add "\"")
+      add "{\"name\":";
+      Json.add_string buf d.name;
+      add ",\"label\":";
+      match d.label with None -> add "null" | Some l -> Json.add_string buf l
     in
     let rows keep render =
       let first = ref true in
@@ -437,7 +409,9 @@ module Metrics = struct
       if not !first then add "\n  "
     in
     add "{\n";
-    add (Printf.sprintf "  \"schema\": %S,\n" schema_version);
+    add "  \"schema\": ";
+    Json.add_string buf schema_version;
+    add ",\n";
     add "  \"counters\": [";
     rows
       (function Kcounter -> true | _ -> false)
@@ -453,7 +427,7 @@ module Metrics = struct
         add ",\"value\":";
         (match gauge_value d with
         | None -> add "null"
-        | Some v -> add (json_float v));
+        | Some v -> add (Json.number v));
         add "}");
     add "],\n";
     add "  \"histograms\": [";
@@ -465,12 +439,12 @@ module Metrics = struct
           add_name_label d;
           add
             (Printf.sprintf ",\"count\":%d,\"sum\":%s,\"buckets\":[" h.total
-               (json_float h.sum));
+               (Json.number h.sum));
           Array.iteri
             (fun i c ->
               if i > 0 then add ",";
               let le =
-                if i < Array.length h.bounds then json_float h.bounds.(i)
+                if i < Array.length h.bounds then Json.number h.bounds.(i)
                 else "null" (* overflow bucket: le = +inf *)
               in
               add (Printf.sprintf "{\"le\":%s,\"count\":%d}" le c))

@@ -30,13 +30,10 @@ val now_ns : unit -> int
     Span durations are therefore clamped at 0 rather than ever going
     negative, and epoch timestamps on spans are best-effort. *)
 
-val json_escape_into : Buffer.t -> string -> unit
-(** Append [s] with JSON string escaping (shared codec, used by the
-    log sink, the metrics dump and the OTLP exporter). *)
-
-val json_float : float -> string
-(** Render a float as a JSON literal; non-finite values become
-    ["null"] (JSON has no NaN/Infinity). [%.17g] round-trips. *)
+module Json = Json
+(** The JSON codec ({!Json}): the only JSON string escaper and number
+    renderer, used by the log sink, the metrics dump, the OTLP exporter
+    and every layer above. *)
 
 val env_var : string
 (** ["DLOSN_LOG"] — comma-separated tokens read at module init: a level

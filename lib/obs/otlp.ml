@@ -121,18 +121,13 @@ let parse_endpoint endpoint =
 
 (* --- OTLP JSON payload builders (pure; golden-tested) --- *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  Obs.json_escape_into buf s;
-  Buffer.add_char buf '"'
-
 (* OTLP AnyValue. Int64 values are JSON strings per the proto3 JSON
    mapping; doubles use the shared codec (non-finite -> null). *)
 let add_any_value buf (v : Obs.Log.value) =
   match v with
   | Obs.Log.String s ->
     Buffer.add_string buf "{\"stringValue\":";
-    add_json_string buf s;
+    Obs.Json.add_string buf s;
     Buffer.add_char buf '}'
   | Obs.Log.Int i ->
     Buffer.add_string buf "{\"intValue\":\"";
@@ -140,7 +135,7 @@ let add_any_value buf (v : Obs.Log.value) =
     Buffer.add_string buf "\"}"
   | Obs.Log.Float f ->
     Buffer.add_string buf "{\"doubleValue\":";
-    Buffer.add_string buf (Obs.json_float f);
+    Buffer.add_string buf (Obs.Json.number f);
     Buffer.add_char buf '}'
   | Obs.Log.Bool b ->
     Buffer.add_string buf "{\"boolValue\":";
@@ -153,7 +148,7 @@ let add_attributes buf (fields : Obs.Log.field list) =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "{\"key\":";
-      add_json_string buf k;
+      Obs.Json.add_string buf k;
       Buffer.add_string buf ",\"value\":";
       add_any_value buf v;
       Buffer.add_char buf '}')
@@ -172,7 +167,7 @@ let add_time buf key ns =
 let add_resource buf ~service =
   Buffer.add_string buf
     "\"resource\":{\"attributes\":[{\"key\":\"service.name\",\"value\":{\"stringValue\":";
-  add_json_string buf service;
+  Obs.Json.add_string buf service;
   Buffer.add_string buf "}}]}"
 
 let scope_json = "\"scope\":{\"name\":\"dlosn.obs\",\"version\":\"1\"}"
@@ -184,15 +179,15 @@ let rec add_span_flat buf ~first ~trace_id ~parent (s : Obs.Span.t) =
   if not !first then Buffer.add_char buf ',';
   first := false;
   Buffer.add_string buf "{\"traceId\":";
-  add_json_string buf trace_id;
+  Obs.Json.add_string buf trace_id;
   Buffer.add_string buf ",\"spanId\":";
-  add_json_string buf s.Obs.Span.span_id;
+  Obs.Json.add_string buf s.Obs.Span.span_id;
   if parent <> "" then begin
     Buffer.add_string buf ",\"parentSpanId\":";
-    add_json_string buf parent
+    Obs.Json.add_string buf parent
   end;
   Buffer.add_string buf ",\"name\":";
-  add_json_string buf s.Obs.Span.name;
+  Obs.Json.add_string buf s.Obs.Span.name;
   Buffer.add_string buf ",\"kind\":1,";
   add_time buf "startTimeUnixNano" s.Obs.Span.start_ns;
   Buffer.add_char buf ',';
@@ -243,7 +238,7 @@ let metrics_body ?(service = "dlosn") ~now_ns
         if not !first then Buffer.add_char buf ',';
         first := false;
         Buffer.add_string buf "{\"name\":";
-        add_json_string buf row.row_name
+        Obs.Json.add_string buf row.row_name
       in
       let datapoint_prefix () =
         add_time buf "timeUnixNano" now_ns;
@@ -265,7 +260,7 @@ let metrics_body ?(service = "dlosn") ~now_ns
         Buffer.add_string buf ",\"gauge\":{\"dataPoints\":[{";
         datapoint_prefix ();
         Buffer.add_string buf ",\"asDouble\":";
-        Buffer.add_string buf (Obs.json_float v);
+        Buffer.add_string buf (Obs.Json.number v);
         Buffer.add_string buf "}]}}"
       | Histogram_sample h ->
         emit_header ();
@@ -275,7 +270,7 @@ let metrics_body ?(service = "dlosn") ~now_ns
         Buffer.add_string buf ",\"count\":\"";
         Buffer.add_string buf (string_of_int h.h_count);
         Buffer.add_string buf "\",\"sum\":";
-        Buffer.add_string buf (Obs.json_float h.h_sum);
+        Buffer.add_string buf (Obs.Json.number h.h_sum);
         (* h_cumulative is Prometheus-style cumulative with a final
            +inf bound; OTLP wants per-bucket counts and explicit
            finite bounds only. *)
@@ -296,7 +291,7 @@ let metrics_body ?(service = "dlosn") ~now_ns
             if Float.is_finite le then begin
               if !nfinite > 0 then Buffer.add_char buf ',';
               nfinite := !nfinite + 1;
-              Buffer.add_string buf (Obs.json_float le)
+              Buffer.add_string buf (Obs.Json.number le)
             end)
           h.h_cumulative;
         Buffer.add_string buf "]}]}}")
@@ -327,16 +322,16 @@ let logs_body ?(service = "dlosn") (records : Obs.Log.record list) =
       Buffer.add_string buf ",\"severityNumber\":";
       Buffer.add_string buf (string_of_int (severity_number r.Obs.Log.r_level));
       Buffer.add_string buf ",\"severityText\":";
-      add_json_string buf
+      Obs.Json.add_string buf
         (String.uppercase_ascii (Obs.Level.to_string r.Obs.Log.r_level));
       Buffer.add_string buf ",\"body\":{\"stringValue\":";
-      add_json_string buf r.Obs.Log.r_msg;
+      Obs.Json.add_string buf r.Obs.Log.r_msg;
       Buffer.add_string buf "},\"attributes\":";
       add_attributes buf r.Obs.Log.r_fields;
       (match r.Obs.Log.r_trace_id with
       | Some tid when String.length tid = 32 ->
         Buffer.add_string buf ",\"traceId\":";
-        add_json_string buf tid
+        Obs.Json.add_string buf tid
       | _ -> ());
       Buffer.add_char buf '}')
     records;

@@ -485,9 +485,7 @@ let json_field_list obj name conv =
       map [] items))
 
 let parse_fit_spec body =
-  let* json =
-    match Tiny_json.parse body with Ok j -> Ok j | Error e -> Error e
-  in
+  let* json = Tiny_json.parse body in
   let* distances = json_field_list json "distances" Tiny_json.to_int in
   let* times = json_field_list json "times" Tiny_json.to_float in
   let* () =
@@ -1030,9 +1028,7 @@ let max_batch_points = 10_000
 
 let handle_predict_batch t (req : Http.request) =
   match
-    let* json =
-      match Tiny_json.parse req.Http.body with Ok j -> Ok j | Error e -> Error e
-    in
+    let* json = Tiny_json.parse req.Http.body in
     let* fit =
       match Tiny_json.member "fit" json with
       | None -> Ok None
@@ -1217,9 +1213,7 @@ type observe_spec = {
 }
 
 let parse_observe_spec body =
-  let* json =
-    match Tiny_json.parse body with Ok j -> Ok j | Error e -> Error e
-  in
+  let* json = Tiny_json.parse body in
   let* story =
     match Tiny_json.member "story" json with
     | Some (Tiny_json.String s) when s <> "" -> Ok s

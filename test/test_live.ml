@@ -791,6 +791,39 @@ let test_observe_validation () =
   Alcotest.(check (option int)) "late vote dropped" (Some 1)
     (J.to_int (member_exn "late" (json_of r)))
 
+(* peak resident set in kB, where the platform reports it *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line -> (
+        try Some (Scanf.sscanf line "VmHWM: %d kB" Fun.id)
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> scan ())
+    in
+    scan ()
+
+let test_observe_nesting_bound () =
+  let config =
+    { Serve.Server.default_config with Serve.Server.port = 0; jobs = 1 }
+  in
+  with_server ~config @@ fun port ->
+  let body = String.make config.Serve.Server.max_body '[' in
+  let before = peak_rss_kb () in
+  let r = ok (Serve.Client.request ~port ~body "POST" "/observe") in
+  Alcotest.(check int) "max-size nested body is a 400" 400
+    r.Serve.Client.status;
+  match (before, peak_rss_kb ()) with
+  | Some b, Some a ->
+    Alcotest.(check bool)
+      (Printf.sprintf "peak RSS grew by %d kB" (a - b))
+      true
+      (a - b < 16 * 1024)
+  | _ -> ()
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -815,4 +848,6 @@ let suite =
       ("e2e: observe -> drift -> warm refit daemon", `Slow, test_e2e_observe_refit);
       ("observe validation and drop accounting", `Quick, test_observe_validation);
       ("live.drift ratio buckets", `Quick, test_drift_histogram_buckets);
+      ("observe rejects nesting past the JSON depth bound", `Quick,
+        test_observe_nesting_bound);
     ]

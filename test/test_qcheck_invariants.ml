@@ -372,6 +372,117 @@ let prop_epidemic_monotone =
           !ok)
         result)
 
+(* ------------------------------------------------------------------ *)
+(* JSON codec                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module J = Obs.Json
+
+(* control bytes, escapes, multi-byte UTF-8 and plain ASCII *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        map (String.make 1) printable;
+        oneofl
+          [
+            "\""; "\\"; "/"; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac";
+            "\xf0\x9f\x98\x80";
+          ];
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 12) piece)
+
+(* every finite bit pattern, including subnormals and -0, plus the
+   integral values that print without a fraction *)
+let gen_json_float =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun bits ->
+          let v = Int64.float_of_bits bits in
+          if Float.is_finite v then v else 0.)
+        ui64;
+      map float_of_int (int_range (-1_000_000) 1_000_000);
+      oneofl [ -0.; 1e15; 1e16; 9007199254740993.; max_float; 5e-324 ];
+    ]
+
+let gen_json =
+  let open QCheck.Gen in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun v -> J.Number v) gen_json_float;
+               map (fun s -> J.String s) gen_json_string;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           let items g = list_size (int_bound 4) g in
+           let child = self (depth - 1) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (items child));
+               ( 1,
+                 map (fun l -> J.Object l) (items (pair gen_json_string child)) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json parse (to_string v) = Ok v"
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v -> J.parse (J.to_string v) = Ok v)
+
+(* a valid /fit request body: the serve smoke's, plus an escaped string *)
+let fit_body =
+  {|{"distances": [1, 2, 3, 4, 5],
+ "times": [1, 2, 3, 4, 5, 6],
+ "density": [[1.0, 2.0, 3.5, 5.0, 6.0, 6.5],
+             [0.8, 1.6, 2.8, 4.0, 5.0, 5.5],
+             [0.5, 1.0, 1.8, 2.6, 3.3, 3.8],
+             [0.3, 0.6, 1.1, 1.6, 2.0, 2.4],
+             [0.2, 0.4, 0.7, 1.0, 1.3, 1.5]],
+ "starts": 2,
+ "seed": 7, "note": "\u00e9\ud83d\ude00\n"}|}
+
+let prop_json_parse_total =
+  let n = String.length fit_body in
+  (* half the replacement bytes are JSON syntax, where a mutation is
+     most likely to reach a deep parser state *)
+  let byte =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 0 255;
+          map Char.code
+            (oneofl (List.of_seq (String.to_seq {|{}[]",:\u0aEe.-+ |})));
+        ])
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"json parse never raises on a mutated /fit body"
+    QCheck.(
+      triple (int_bound (n - 1)) (make byte)
+        (oneofl [ `Replace; `Delete; `Insert; `Truncate ]))
+    (fun (i, b, edit) ->
+      let c = String.make 1 (Char.chr b) in
+      let head = String.sub fit_body 0 i in
+      let tail k = String.sub fit_body k (n - k) in
+      let s =
+        match edit with
+        | `Replace -> head ^ c ^ tail (i + 1)
+        | `Delete -> head ^ tail (i + 1)
+        | `Insert -> head ^ c ^ tail i
+        | `Truncate -> head
+      in
+      match J.parse s with Ok _ | Error _ -> true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -394,4 +505,6 @@ let suite =
       prop_accuracy_perfect_iff_equal;
       prop_growth_integral_additive;
       prop_epidemic_monotone;
+      prop_json_roundtrip;
+      prop_json_parse_total;
     ]

@@ -14,6 +14,8 @@ let test_json_roundtrip () =
       {|{}|};
       {|"é\n\t\\"|};
       {|-1.25e-3|};
+      {|"\u00e9\u20ac\ud83d\ude00"|};
+      {|["\u0000\u001f\b\f","\/"]|};
     ]
   in
   List.iter
@@ -25,7 +27,21 @@ let test_json_roundtrip () =
         match J.parse (J.to_string v) with
         | Ok v' -> Alcotest.(check bool) "round-trip" true (v = v')
         | Error e -> Alcotest.failf "re-parse of %S failed: %s" s e))
-    cases
+    cases;
+  (* \u escapes decode to UTF-8; a surrogate pair is one 4-byte code
+     point, not two 3-byte halves *)
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "decode %s" s) (Ok want)
+        (Result.map (fun v -> Option.get (J.to_string_opt v)) (J.parse s)))
+    [
+      ({|"\u0041"|}, "A");
+      ({|"\u00e9"|}, "\xc3\xa9");
+      ({|"\u20AC"|}, "\xe2\x82\xac");
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uDBFF\uDFFF"|}, "\xf4\x8f\xbf\xbf");
+    ]
 
 let test_json_errors () =
   List.iter
@@ -35,7 +51,34 @@ let test_json_errors () =
       | Error msg ->
         Alcotest.(check bool) "mentions byte offset" true
           (String.length msg > 0))
-    [ "{"; "[1,"; {|{"a"}|}; "tru"; "1.2.3"; {|"unterminated|}; "[] []" ]
+    [
+      "{"; "[1,"; {|{"a"}|}; "tru"; "1.2.3"; {|"unterminated|}; "[] []";
+      (* \u takes exactly four hex digits *)
+      {|"\u0_41"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u04"|}; {|"\u004g"|};
+      (* lone or mismatched surrogates *)
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
+      {|"\ud83d\ud83d"|}; {|"\ud83d\n"|};
+    ]
+
+let test_json_depth () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (J.parse (nested J.max_depth)));
+  let deeper = Printf.sprintf "nesting deeper than %d" J.max_depth in
+  List.iter
+    (fun body ->
+      match Obs.Json.parse body with
+      | Ok _ -> Alcotest.failf "%d-byte nested body parsed" (String.length body)
+      | Error msg ->
+        Alcotest.(check bool) ("error names the limit: " ^ msg) true
+          (let n = String.length deeper and m = String.length msg in
+           m >= n && String.sub msg (m - n) n = deeper))
+    [
+      nested (J.max_depth + 1);
+      String.concat "" (List.init (J.max_depth + 1) (fun _ -> {|{"a":|}));
+      (* a maximum-size request body of nothing but brackets *)
+      String.make Serve.Server.default_config.Serve.Server.max_body '[';
+    ]
 
 let test_json_accessors () =
   match J.parse {|{"n":3,"f":2.5,"s":"hi","l":[1,2]}|} with
@@ -614,6 +657,7 @@ let suite =
     Alcotest.test_case "json round-trips" `Quick test_json_roundtrip;
     Alcotest.test_case "json reports errors" `Quick test_json_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json nesting depth is bounded" `Quick test_json_depth;
     Alcotest.test_case "prometheus renderer" `Quick test_prometheus_renderer;
     Alcotest.test_case "healthz" `Quick test_healthz;
     Alcotest.test_case "fit, predict and cache" `Slow

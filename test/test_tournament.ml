@@ -217,7 +217,27 @@ let test_leaderboard_json () =
             "model"; "ok"; "error"; "mean_rel_err"; "training_error";
             "per_story"; "fit_ms"; "predict_ms"; "evaluations";
           ])
-      entries
+      entries;
+    (* floats print with round-trip precision: the parsed accuracy is
+       the computed one, bit for bit *)
+    Array.iter
+      (fun (e : Dl.Tournament.entry) ->
+        let parsed =
+          List.find
+            (fun j -> J.member "model" j = Some (J.String e.e_model))
+            entries
+          |> J.member "mean_rel_err"
+        in
+        if Float.is_nan e.e_mean_rel_err then
+          Alcotest.(check bool) (e.e_model ^ " nan is null") true
+            (parsed = Some J.Null)
+        else
+          Alcotest.(check int64)
+            (e.e_model ^ " mean_rel_err bit-identical")
+            (Int64.bits_of_float e.e_mean_rel_err)
+            (Int64.bits_of_float
+               (Option.get (Option.bind parsed J.to_float))))
+      lb.Dl.Tournament.lb_entries
 
 (* --- serve `model` field, round-tripped through the store --- *)
 
