@@ -37,10 +37,17 @@ run):
 - allocation regression: panel_minor_words_per_story may not exceed
   the baseline by more than 20%.
 
+Fit-resolution check (the solver section's fit_resolution entry: the
+Strang solve every Nelder-Mead objective evaluation runs, nx 41,
+dt 0.05, t 1 -> 4):
+
+- it must report identical=true against the reference;
+- allocation regression: its fast_minor_words_per_solve may not exceed
+  the baseline's by more than 20%.  Its solve time is printed but not
+  gated.
+
 The panel entries also carry batching_gain (a loop of width-1
-Pde.solve calls / the panel), which is printed but not gated.  So is
-the solver section's fit_resolution entry: the Strang solve every
-Nelder-Mead objective evaluation runs (nx 41, dt 0.05, t 1 -> 4).
+Pde.solve calls / the panel), which is printed but not gated.
 """
 import json
 import sys
@@ -162,21 +169,38 @@ def check_panel(current, baseline):
     return checked
 
 
+def check_fit(cur, base):
+    if base is None:
+        return
+    if cur is None:
+        fail("baseline has a fit_resolution entry but the run has none")
+    if cur.get("identical") is not True:
+        fail("fit_resolution: the fits' solve is not bit-identical to the "
+             "reference")
+    words = cur["fast_minor_words_per_solve"]
+    base_words = base["fast_minor_words_per_solve"]
+    if words > base_words * TOLERANCE:
+        fail(
+            f"fit_resolution: allocation regression — {words:.0f} minor "
+            f"words/solve vs baseline {base_words:.0f} (>{TOLERANCE:.0%})"
+        )
+    print(
+        f"check_bench: fit-resolution strang (nx {cur['nx']}, "
+        f"dt {cur['dt']}): identical, {words:.0f} words/solve "
+        f"(baseline {base_words:.0f}), "
+        f"{cur['fast_ns_per_solve'] / 1e3:.1f} us/solve (time ungated)"
+    )
+
+
 def main():
     cur_schemes, cur_panel, cur_fit = solver_of(sys.argv[1])
-    base_schemes, base_panel, _ = solver_of(sys.argv[2])
+    base_schemes, base_panel, base_fit = solver_of(sys.argv[2])
 
     checked = check_schemes(cur_schemes, base_schemes)
     panel_checked = check_panel(cur_panel, base_panel)
     if base_panel and panel_checked == 0:
         fail("baseline contained panel entries but none were checked")
-    if cur_fit:
-        print(
-            f"check_bench: fit-resolution strang (nx {cur_fit['nx']}, "
-            f"dt {cur_fit['dt']}): {cur_fit['fast_ns_per_solve'] / 1e3:.1f} us"
-            f"/solve, {cur_fit['fast_minor_words_per_solve']:.0f} words/solve, "
-            f"identical={cur_fit['identical']} (ungated)"
-        )
+    check_fit(cur_fit, base_fit)
     print(
         f"check_bench: OK — {checked} schemes and {panel_checked} panels "
         f"within tolerance"

@@ -1362,7 +1362,7 @@ let print_solver_row b =
 let run_solver_bench () =
   section "Solver: Pde.solve (a width-1 panel) vs the reference stepper";
   let module Pde = Numerics.Pde in
-  let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
+  let r = { Pde.a = 1.4; b = 1.5; c = 0.25 } in
   let p =
     {
       Pde.xl = 1.;
@@ -1430,7 +1430,7 @@ let run_panel_bench () =
         let fi = float_of_int i in
         let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
         let c = 0.2 +. (0.015 *. fi) in
-        let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+        let r = { Pde.a; b; c } in
         let amp = 6. +. (0.5 *. fi) in
         {
           Pde.xl = 1.;

@@ -1081,7 +1081,9 @@ let record_json (r : Store.Format.record) =
       ("story", J.String r.Store.Format.story);
       ("source", J.String r.Store.Format.source);
       ("model", J.String r.Store.Format.model);
-      ("created_ns", num (float_of_int r.Store.Format.created_ns));
+      (* a string: a JSON number is a double, which would round the
+         nanoseconds *)
+      ("created_ns", J.String (string_of_int r.Store.Format.created_ns));
       ( "params",
         J.Object
           [

@@ -7,6 +7,10 @@ let eval r t =
   | Constant c -> c
   | Exp_decay { a; b; c } -> (a *. exp (-.b *. (t -. 1.))) +. c
 
+let to_rate = function
+  | Constant c -> { Numerics.Pde.a = 0.; b = 0.; c }
+  | Exp_decay { a; b; c } -> { Numerics.Pde.a; b; c }
+
 let integral r ~t0 ~t1 =
   match r with
   | Constant c -> c *. (t1 -. t0)

@@ -14,6 +14,12 @@ type t =
 
 val eval : t -> float -> float
 
+val to_rate : t -> Numerics.Pde.rate
+(** The solver's data form of [r]: [Exp_decay] field for field, and
+    [Constant c] as [{a = 0.; b = 0.; c}].  [Numerics.Pde.rate_eval]
+    of it equals [eval] bit for bit, except that [Constant (-0.)]
+    evaluates to [+0.]. *)
+
 val integral : t -> t0:float -> t1:float -> float
 (** Exact integral of [r] over [\[t0, t1\]] (closed form in both
     cases). *)

@@ -36,7 +36,7 @@ let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
       xr = params.big_l;
       nx;
       diffusion = (fun _ -> params.d);
-      reaction = Pde.Linear { r = Growth.eval params.r };
+      reaction = Pde.Linear { r = Growth.to_rate params.r };
       initial = Initial.to_function phi;
       t0 = 1.;
     }

@@ -24,9 +24,9 @@ let check_times times =
   if Array.exists (fun t -> t < 1.) times then
     invalid_arg "Model.solve: observation times start at t = 1"
 
-(* Eq. 4 with the reaction as the solver's [Logistic] shape: evaluates
-   as exactly [r(t) u (1 - u/K)], same bits as a closure with that
-   body, but unboxed in the solver's cell loops. *)
+(* Eq. 4 with the reaction as the solver's [Logistic] shape and the
+   rate as data: evaluates as exactly [r(t) u (1 - u/K)], same bits as
+   a closure with that body, but unboxed in the solver's cell loops. *)
 let dl_problem ~nx params ~phi =
   {
     Pde.xl = params.Params.l;
@@ -34,7 +34,7 @@ let dl_problem ~nx params ~phi =
     nx;
     diffusion = (fun _ -> params.Params.d);
     reaction =
-      Pde.Logistic { r = Growth.eval params.Params.r; k = params.Params.k };
+      Pde.Logistic { r = Growth.to_rate params.Params.r; k = params.Params.k };
     initial = Initial.to_function phi;
     t0 = 1.;
   }

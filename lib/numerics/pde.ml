@@ -1,3 +1,10 @@
+(* The growth rate [r(t) = a e^{-b (t - 1)} + c], held as data: the
+   form the paper's DL equation (Figs 6/7) and its linear variant both
+   use.  [rate_eval] is the single expression every path evaluates. *)
+type rate = { a : float; b : float; c : float }
+
+let[@inline] rate_eval r t = (r.a *. exp (-.r.b *. (t -. 1.))) +. r.c
+
 (* The reaction term, specialised by shape.  [Logistic]/[Linear] name
    the paper's two models directly so hot loops can dispatch once per
    solve and run unboxed float arithmetic per cell; [Custom] keeps the
@@ -5,14 +12,14 @@
    is the single semantics: the reference stepper and the panel
    stepper both compute exactly its floating-point expressions. *)
 type reaction =
-  | Logistic of { r : float -> float; k : float }
-  | Linear of { r : float -> float }
+  | Logistic of { r : rate; k : float }
+  | Linear of { r : rate }
   | Custom of (x:float -> t:float -> u:float -> float)
 
 let reaction_eval re ~x ~t ~u =
   match re with
-  | Logistic { r; k } -> r t *. u *. (1. -. (u /. k))
-  | Linear { r } -> r t *. u
+  | Logistic { r; k } -> rate_eval r t *. u *. (1. -. (u /. k))
+  | Linear { r } -> rate_eval r t *. u
   | Custom f -> f ~x ~t ~u
 
 type problem = {
@@ -112,7 +119,7 @@ let shifted c l =
    value, bit for bit).  Stateful: derive one flow per solve. *)
 let exact_flow = function
   | Logistic { r; k } ->
-    let integral = Quadrature.simpson_memo r ~n:8 in
+    let integral = Quadrature.simpson_memo (rate_eval r) ~n:8 in
     let current = ref 0. in
     let r_integral _ = !current in
     fun ~t ~dt ~u ->
@@ -122,7 +129,7 @@ let exact_flow = function
         Ode.logistic_varying_r ~r_integral ~k ~n0:u dt
       end
   | Linear { r } ->
-    let integral = Quadrature.simpson_memo r ~n:8 in
+    let integral = Quadrature.simpson_memo (rate_eval r) ~n:8 in
     fun ~t ~dt ~u ->
       if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
   | Custom _ -> assert false (* rejected by [check_args] *)
@@ -235,7 +242,8 @@ let solve_reference ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
    second half flow.  Stories are the outer loop, so each recurrence
    is a scalar chain.  The x-independent per-step scalars (r(t),
    Simpson integrals of r, their exponentials) are hoisted once per
-   story, and the [Logistic]/[Linear] reactions run as unboxed float
+   story, and the [Logistic]/[Linear] reactions, whose rate is a
+   [rate] record rather than a closure, run as unboxed float
    arithmetic.  Column [s] of the result is bit-identical to
    [solve_reference] on story [s] alone: stories never mix, the
    hoisted scalars are exactly the values the reference computes per
@@ -276,11 +284,14 @@ type panel_bufs = {
   pb_f_m : Tridiag.panel;
   mutable pb_ops_dt : float;
   (* per-story hoisted scalars: r(t), r(t+dt), the two Strang half
-     flow factors *)
+     flow factors, and the last Strang step's end node and r there
+     (NaN = none yet this solve) *)
   pb_rt : float array;
   pb_rt2 : float array;
   pb_flow : float array;
   pb_flow2 : float array;
+  pb_end_t : float array;
+  pb_end_r : float array;
   pb_k : float array;
   pb_tag : int array;
 }
@@ -309,6 +320,8 @@ let make_panel_bufs ~nx ~ns =
     pb_rt2 = Array.make ns 0.;
     pb_flow = Array.make ns 0.;
     pb_flow2 = Array.make ns 0.;
+    pb_end_t = Array.make ns Float.nan;
+    pb_end_r = Array.make ns 0.;
     pb_k = Array.make ns 0.;
     pb_tag = Array.make ns tag_custom;
   }
@@ -393,12 +406,12 @@ let hoist_rates b problems t dt =
   for s = 0 to b.pb_ns - 1 do
     match problems.(s).reaction with
     | Logistic { r; k } ->
-      b.pb_rt.(s) <- r t;
-      b.pb_rt2.(s) <- r (t +. dt);
+      b.pb_rt.(s) <- rate_eval r t;
+      b.pb_rt2.(s) <- rate_eval r (t +. dt);
       b.pb_k.(s) <- k
     | Linear { r } ->
-      b.pb_rt.(s) <- r t;
-      b.pb_rt2.(s) <- r (t +. dt)
+      b.pb_rt.(s) <- rate_eval r t;
+      b.pb_rt2.(s) <- rate_eval r (t +. dt)
     | Custom _ -> ()
   done
 
@@ -430,19 +443,57 @@ let[@inline] rk2_increment b problems s ~x ~t ~dt ui =
     dt *. (k1 +. k2) /. 2.
   end
 
-(* Exact-flow factor exp(±∫r) over the half step [a, a + dt/2] per
-   story, into [dst]: x-independent, so computed once per story —
-   exactly the value the reference's one-slot Simpson memo hands every
-   cell. *)
-let hoist_flows b problems (dst : float array) a dt =
+(* [Quadrature.simpson (rate_eval r) ~a:lo ~b:(lo +. 8h) ~n:8] with
+   the end values [flo] and [fhi] given: the seven interior nodes
+   unrolled in its summation order ([lo +. (h *. 3.)] is its
+   [lo +. (h *. float_of_int 3)] exactly).  Loop-free, so it inlines
+   and no float boxes. *)
+let[@inline] simpson8 r lo h flo fhi =
+  let acc = flo +. fhi in
+  let acc = acc +. (4. *. rate_eval r (lo +. (h *. 1.))) in
+  let acc = acc +. (2. *. rate_eval r (lo +. (h *. 2.))) in
+  let acc = acc +. (4. *. rate_eval r (lo +. (h *. 3.))) in
+  let acc = acc +. (2. *. rate_eval r (lo +. (h *. 4.))) in
+  let acc = acc +. (4. *. rate_eval r (lo +. (h *. 5.))) in
+  let acc = acc +. (2. *. rate_eval r (lo +. (h *. 6.))) in
+  let acc = acc +. (4. *. rate_eval r (lo +. (h *. 7.))) in
+  acc *. h /. 3.
+
+(* Story [s]'s two Strang half-flow factors exp(±∫r) for the step
+   [t, t + dt], into [pb_flow]/[pb_flow2]: x-independent, so computed
+   once per story — exactly the values the reference's one-slot
+   Simpson memo hands every cell.  The integrals run over [t, m] and
+   [m, m + dt/2] with [m = t + dt/2], bit for bit the reference's
+   limits, so r at [m] serves both; r at [t] is the previous step's
+   end value whenever that end node equals [t] (a float [=]: a NaN
+   slot never matches).  [@inline] and loop-free: without flambda a
+   call that is not inlined boxes its float arguments. *)
+let[@inline] half_flows b s r ~logistic t dt =
   let half = dt /. 2. in
+  let m = t +. half in
+  let e = m +. half in
+  let rt = if t = b.pb_end_t.(s) then b.pb_end_r.(s) else rate_eval r t in
+  let rm = rate_eval r m and re = rate_eval r e in
+  b.pb_end_t.(s) <- e;
+  b.pb_end_r.(s) <- re;
+  let i1 = simpson8 r t ((m -. t) /. 8.) rt rm in
+  let i2 = simpson8 r m ((e -. m) /. 8.) rm re in
+  if logistic then begin
+    b.pb_flow.(s) <- exp (-.i1);
+    b.pb_flow2.(s) <- exp (-.i2)
+  end
+  else begin
+    b.pb_flow.(s) <- exp i1;
+    b.pb_flow2.(s) <- exp i2
+  end
+
+let hoist_flows b problems t dt =
   for s = 0 to b.pb_ns - 1 do
     match problems.(s).reaction with
     | Logistic { r; k } ->
-      dst.(s) <- exp (-.Quadrature.simpson r ~a ~b:(a +. half) ~n:8);
-      b.pb_k.(s) <- k
-    | Linear { r } ->
-      dst.(s) <- exp (Quadrature.simpson r ~a ~b:(a +. half) ~n:8)
+      b.pb_k.(s) <- k;
+      half_flows b s r ~logistic:true t dt
+    | Linear { r } -> half_flows b s r ~logistic:false t dt
     | Custom _ -> assert false (* rejected by [check_args] *)
   done
 
@@ -559,10 +610,7 @@ let step_panel b problems xs h2w scheme t dt =
     done
   | Strang ->
     panel_ops b scheme dt;
-    (* both half steps' factors, in the reference's call order; passing
-       [dt], not a let-bound [dt /. 2.], keeps the half step unboxed *)
-    hoist_flows b problems b.pb_flow t dt;
-    hoist_flows b problems b.pb_flow2 (t +. (dt /. 2.)) dt;
+    hoist_flows b problems t dt;
     for s = 0 to ns - 1 do
       strang_sweep b s
     done);
@@ -607,6 +655,7 @@ let run_panel fn ~bufs ~scheme ~dt problems ~times =
         unsafe_set b.pb_l_sub i s l.Tridiag.sub.(i);
         unsafe_set b.pb_l_sup i s l.Tridiag.sup.(i)
       done;
+      b.pb_end_t.(s) <- Float.nan;
       b.pb_tag.(s) <-
         (match p.reaction with
         | Logistic _ -> tag_logistic

@@ -27,19 +27,31 @@
     story); {!solve_reference} keeps the original per-step-allocating
     stepper as the oracle the panel stepper must match bit for bit. *)
 
+(** A growth rate [r(t) = a e^{-b (t - 1)} + c], as data: the one form
+    the paper's DL equation (Figs 6/7) and its linear variant take, with
+    time measured from the initial observation hour [t = 1].  A
+    constant rate is [{a = 0.; b = 0.; c}]. *)
+type rate = { a : float; b : float; c : float }
+
+val rate_eval : rate -> float -> float
+(** [rate_eval r t] is exactly [(r.a *. exp (-.r.b *. (t -. 1.))) +. r.c],
+    the expression [Growth.eval] uses: every solve path evaluates the
+    rate through it. *)
+
 (** The reaction term [f(x, t, u)], specialised by shape.  [Logistic]
     and [Linear] name the paper's two models so the solver's hot loops
     can dispatch once and run unboxed float arithmetic per cell;
     [Custom] keeps the fully general closure (with its per-call float
     boxing).  Both steppers evaluate the named shapes as exactly
-    [r t *. u *. (1. -. (u /. k))] and [r t *. u] — building a
-    [Custom] closure with the same body produces the same bits, just
-    slower.  [r] must be a pure function of [t] (it is hoisted out of
-    cell loops). *)
+    [rate_eval r t *. u *. (1. -. (u /. k))] and [rate_eval r t *. u] —
+    building a [Custom] closure with the same body produces the same
+    bits, just slower.  Because the rate is data, the panel stepper
+    evaluates Strang's Simpson integrals of it inline, allocating
+    nothing. *)
 type reaction =
-  | Logistic of { r : float -> float; k : float }
+  | Logistic of { r : rate; k : float }
       (** [f = r(t) u (1 - u/K)] — the paper's Eq. 4. *)
-  | Linear of { r : float -> float }
+  | Linear of { r : rate }
       (** [f = r(t) u] — the authors' follow-up linear model. *)
   | Custom of (x:float -> t:float -> u:float -> float)
 
@@ -109,9 +121,12 @@ val solve_reference :
     then a backward pass that substitutes and applies Strang's second
     half flow.  The x-independent per-step scalars (r(t), Simpson
     [∫r], their exponentials) are hoisted out of the cell loops, and
-    [Logistic]/[Linear] reactions run unboxed.  Fusing passes and
-    batching stories reorder loops but never change any story's
-    floating-point operations. *)
+    [Logistic]/[Linear] reactions run unboxed.  A Strang step's two
+    Simpson integrals are one inlined kernel over the {!rate} record:
+    r at the shared midpoint is evaluated once, r at the step's start
+    is the previous step's end value whenever the nodes coincide, and
+    nothing is allocated.  Fusing passes and batching stories reorder
+    loops but never change any story's floating-point operations. *)
 
 type panel_workspace
 (** Reusable panel buffer block (state, operators, factorization,

@@ -112,18 +112,51 @@ let parse s =
     in
     loop ()
   in
+  (* the current byte, NUL past the end (never part of a number) *)
+  let current () = if !pos < n then s.[!pos] else '\000' in
+  (* one or more digits; false (nothing consumed) when there are none *)
+  let digits () =
+    let from = !pos in
+    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
+      incr pos
+    done;
+    !pos > from
+  in
+  (* RFC 8259: [-? (0 | [1-9][0-9]* ) (.[0-9]+)? ([eE][+-]?[0-9]+)?],
+     not followed by another number character (so "01" and "1.2.3" are
+     bad numbers, not a number and trailing bytes); errors point at
+     the number's first byte *)
   let parse_number () =
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    if current () = '-' then advance ();
+    let ok =
+      (if current () = '0' then begin
+         advance ();
+         true
+       end
+       else digits ())
+      && (current () <> '.'
+         || begin
+           advance ();
+           digits ()
+         end)
+      && (match current () with
+         | 'e' | 'E' ->
+           advance ();
+           (match current () with '+' | '-' -> advance () | _ -> ());
+           digits ()
+         | _ -> true)
+      &&
+      match current () with
+      | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> false
+      | _ -> true
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
+    match
+      if ok then float_of_string_opt (String.sub s start (!pos - start))
+      else None
+    with
     | Some v -> Number v
-    | None -> err "bad number"
+    | None -> raise (Err (start, "bad number"))
   in
   (* [depth] counts the arrays and objects enclosing the value *)
   let rec parse_value depth =

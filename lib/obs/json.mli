@@ -10,8 +10,11 @@
 
     It supports the full JSON grammar except that numbers are always
     represented as [float] (fine for densities, hours and the handful
-    of integer knobs the API accepts).  It depends on nothing else in
-    [Obs], so [Obs] re-exports it as [Obs.Json]. *)
+    of integer knobs the API accepts).  Numbers follow RFC 8259
+    strictly: no leading [+], no leading zeros, digits on both sides
+    of a [.]; anything else is a "bad number" at the number's first
+    byte.  It depends on nothing else in [Obs], so [Obs] re-exports it
+    as [Obs.Json]. *)
 
 type t =
   | Null

@@ -181,7 +181,7 @@ let test_reaction_only_logistic () =
       xr = 5.;
       nx = 41;
       diffusion = (fun _ -> 0.);
-      reaction = Pde.Logistic { r = (fun _ -> r0); k };
+      reaction = Pde.Logistic { r = { Pde.a = 0.; b = 0.; c = r0 }; k };
       initial = (fun x -> 1. +. (0.1 *. x));
       t0 = 0.;
     }
@@ -201,7 +201,7 @@ let test_reaction_only_logistic () =
 let test_schemes_agree () =
   (* Full DL-type problem: all three schemes converge to the same
      solution. *)
-  let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
+  let r = { Pde.a = 1.4; b = 1.5; c = 0.25 } in
   let k = 25. in
   let p =
     {

@@ -184,7 +184,7 @@ let test_batch_singular_raises () =
    the solver accepts; the [Custom] closure computes the logistic
    formula through the boxed path. *)
 let dl_problem reaction =
-  let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
+  let r = { Pde.a = 1.4; b = 1.5; c = 0.25 } in
   let k = 25. in
   {
     Pde.xl = 1.;
@@ -197,7 +197,9 @@ let dl_problem reaction =
       (match reaction with
       | `Logistic -> Pde.Logistic { r; k }
       | `Linear -> Pde.Linear { r }
-      | `Custom -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k))));
+      | `Custom ->
+        Pde.Custom
+          (fun ~x:_ ~t ~u -> Pde.rate_eval r t *. u *. (1. -. (u /. k))));
     initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
     t0 = 1.;
   }
@@ -342,7 +344,7 @@ let random_story ?d rng kind =
   let a = Rng.uniform rng 0.3 1.8 in
   let b = Rng.uniform rng 0.5 2.0 in
   let c = Rng.uniform rng 0.1 0.5 in
-  let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+  let r = { Pde.a; b; c } in
   let k = Rng.uniform rng 5. 40. in
   let amp = Rng.uniform rng 2. 10. in
   {
@@ -354,7 +356,9 @@ let random_story ?d rng kind =
       (match kind with
       | 0 -> Pde.Logistic { r; k }
       | 1 -> Pde.Linear { r }
-      | _ -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k))));
+      | _ ->
+        Pde.Custom
+          (fun ~x:_ ~t ~u -> Pde.rate_eval r t *. u *. (1. -. (u /. k))));
     initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
     t0 = 1.;
   }
@@ -392,6 +396,90 @@ let prop_panel_bit_identity =
       let kinds s = if scheme = Pde.Strang then s mod 2 else s mod 3 in
       check_panel_matches_reference ~scheme ~kinds (seed + (7 * ns)) ns;
       true)
+
+(* --- Strang's inlined Simpson kernel vs the reference's memo --- *)
+
+(* A Strang panel of [rates] (story [s] Logistic when [logistic s],
+   else Linear), every column against its reference solve. *)
+let check_strang_panel ?workspace ?(t0 = 1.) ~dt ~times name rates logistic =
+  let problems =
+    Array.mapi
+      (fun s r ->
+        let fs = float_of_int s in
+        {
+          Pde.xl = 1.;
+          xr = 6.;
+          nx = 29;
+          diffusion = (fun _ -> 0.04 +. (0.01 *. fs));
+          reaction =
+            (if logistic s then Pde.Logistic { r; k = 20. +. fs }
+             else Pde.Linear { r });
+          initial =
+            (fun x ->
+              if x > 4.5 then 0. else (5. +. fs) *. exp (-0.5 *. (x -. 1.)));
+          t0;
+        })
+      rates
+  in
+  let sols =
+    Pde.solve_panel ~scheme:Pde.Strang ~dt ?workspace problems ~times
+  in
+  Array.iteri
+    (fun s p ->
+      check_solutions_bit_identical (Printf.sprintf "%s story %d" name s)
+        sols.(s)
+        (Pde.solve_reference ~scheme:Pde.Strang ~dt p ~times))
+    problems
+
+let test_strang_rate_kernel () =
+  let paper = { Pde.a = 1.4; b = 1.5; c = 0.25 } in
+  let cases =
+    [
+      ("constant rate (a = 0)", [| { Pde.a = 0.; b = 0.; c = 0.7 } |]);
+      ("b = 0", [| { Pde.a = 1.2; b = 0.; c = 0.3 } |]);
+      ("growing rate (a < 0)", [| { Pde.a = -0.4; b = 0.8; c = 0.9 } |]);
+      ("paper rate", [| paper |]);
+    ]
+  in
+  List.iter
+    (fun (name, rates) ->
+      List.iter
+        (fun (shape, logistic) ->
+          let name = name ^ " " ^ shape in
+          (* the fits' step and snapshots: most steps reuse the previous
+             step's end node *)
+          check_strang_panel ~dt:0.05 ~times:[| 2.; 3.; 4. |] name rates
+            logistic;
+          (* a dt that divides no snapshot gap: ragged final steps, end
+             nodes that miss *)
+          check_strang_panel ~dt:0.07 ~times:ragged_times (name ^ " ragged")
+            rates logistic;
+          (* t0 <> 1, so r is not at its t = 1 reference point *)
+          check_strang_panel ~t0:0.35 ~dt:0.03 ~times:[| 0.8; 2.2 |]
+            (name ^ " t0 0.35") rates logistic)
+        [ ("logistic", fun _ -> true); ("linear", fun _ -> false) ])
+    cases;
+  (* one mixed panel: Logistic and Linear stories, different rates *)
+  let mixed =
+    [| paper; { Pde.a = 0.; b = 0.; c = 0.5 }; { Pde.a = 0.9; b = 0.; c = 0.1 };
+       { Pde.a = 1.7; b = 2.2; c = 0.05 }; { Pde.a = 0.6; b = 0.7; c = 0.2 } |]
+  in
+  check_strang_panel ~dt:0.05 ~times:[| 2.; 3.; 4. |] "mixed panel" mixed
+    (fun s -> s mod 2 = 0);
+  check_strang_panel ~dt:0.07 ~times:ragged_times "mixed panel ragged" mixed
+    (fun s -> s mod 2 = 1)
+
+let test_strang_end_node_reset () =
+  (* the end-node slot is per solve: a workspace whose last solve ended
+     its final step at t = 3 must not hand that story's r(3) to a new
+     solve that starts at t0 = 3 with another rate *)
+  let ws = Pde.panel_workspace () in
+  check_strang_panel ~workspace:ws ~dt:0.5 ~times:[| 2.; 3. |] "first solve"
+    [| { Pde.a = 1.4; b = 1.5; c = 0.25 } |] (fun _ -> true);
+  check_strang_panel ~workspace:ws ~t0:3. ~dt:0.5 ~times:[| 4. |]
+    "solve after" [| { Pde.a = 0.3; b = 0.2; c = 1.1 } |] (fun _ -> true);
+  Alcotest.(check (pair int int)) "one workspace, reused" (1, 1)
+    (Pde.panel_workspace_stats ws)
 
 let test_panel_strang_rejects_custom () =
   let rng = Rng.create 3 in
@@ -666,6 +754,10 @@ let suite =
     Alcotest.test_case "solve metric attribution" `Quick
       test_solve_metric_attribution;
     QCheck_alcotest.to_alcotest prop_panel_bit_identity;
+    Alcotest.test_case "strang rate kernel bit-identical" `Quick
+      test_strang_rate_kernel;
+    Alcotest.test_case "strang end node reset per solve" `Quick
+      test_strang_end_node_reset;
     Alcotest.test_case "panel strang rejects custom" `Quick
       test_panel_strang_rejects_custom;
     Alcotest.test_case "ftcs panel rejects mixed cfl" `Quick

@@ -347,6 +347,35 @@ let prop_growth_integral_additive =
       in
       Float.abs (whole -. parts) < 1e-9)
 
+(* The solver's data form of r is Growth.eval bit for bit at every
+   finite t.  The one exception, Constant (-0.), which evaluates as
+   0. +. -0. = +0., is never drawn: a uniform draw is never -0. *)
+let prop_growth_rate_bits =
+  QCheck.Test.make ~count:500
+    ~name:"Pde.rate_eval (Growth.to_rate g) t = Growth.eval g t bitwise"
+    QCheck.(triple bool (float_range (-20.) 20.) (int_range 0 1_000_000))
+    (fun (constant, t, seed) ->
+      let rng = rng_of seed in
+      let draw () =
+        match Rng.int rng 4 with
+        | 0 -> 0.
+        | 1 -> Rng.uniform rng (-1e3) 1e3
+        | _ -> Rng.uniform rng (-3.) 3.
+      in
+      let g =
+        if constant then Dl.Growth.Constant (draw ())
+        else
+          let a = draw () in
+          let b = draw () in
+          Dl.Growth.Exp_decay { a; b; c = draw () }
+      in
+      List.for_all
+        (fun t ->
+          Int64.equal
+            (Int64.bits_of_float (Pde.rate_eval (Dl.Growth.to_rate g) t))
+            (Int64.bits_of_float (Dl.Growth.eval g t)))
+        [ t; 1.; 0.; -0. ])
+
 let prop_epidemic_monotone =
   QCheck.Test.make ~count:40 ~name:"SI epidemic is monotone non-decreasing"
     QCheck.(int_range 0 1_000_000)
@@ -504,6 +533,7 @@ let suite =
       prop_accuracy_bounds;
       prop_accuracy_perfect_iff_equal;
       prop_growth_integral_additive;
+      prop_growth_rate_bits;
       prop_epidemic_monotone;
       prop_json_roundtrip;
       prop_json_parse_total;

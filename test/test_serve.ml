@@ -58,6 +58,34 @@ let test_json_errors () =
       (* lone or mismatched surrogates *)
       {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
       {|"\ud83d\ud83d"|}; {|"\ud83d\n"|};
+      (* numbers outside the RFC 8259 grammar *)
+      "+1"; ".5"; "01"; "-01"; "1."; "1.e3"; "-"; "-.5"; "--1"; "1e"; "1e+";
+      "1E-"; "0x10"; "1e5.0"; "[1,+1]";
+    ];
+  (* a bad number is reported where it starts *)
+  Alcotest.(check (result reject string)) "bad number offset"
+    (Error "JSON parse error at byte 4: bad number")
+    (Result.map ignore (J.parse "[1, 01]"));
+  let bits v = Int64.bits_of_float v in
+  List.iter
+    (fun (s, v) ->
+      match J.parse s with
+      | Ok (J.Number w) when Int64.equal (bits w) (bits v) -> ()
+      | Ok _ -> Alcotest.failf "%S parsed to the wrong value" s
+      | Error e -> Alcotest.failf "%S rejected: %s" s e)
+    [
+      ("0", 0.); ("-0", -0.); ("0.5", 0.5); ("1e5", 1e5); ("1E+5", 1e5);
+      ("-1.5e-3", -1.5e-3); ("10", 10.); ("2.50", 2.5); ("1e-0", 1.);
+    ];
+  (* what the codec prints still parses back to the same bits *)
+  List.iter
+    (fun v ->
+      match J.parse (J.number v) with
+      | Ok (J.Number w) when Int64.equal (bits w) (bits v) -> ()
+      | _ -> Alcotest.failf "%s does not round-trip" (J.number v))
+    [
+      0.; -0.; 0.1; -2.5; 1e17; 1e-7; 123456789.123; Float.max_float;
+      Float.min_float; 5e-324; -1e300; 1.7922872489606758e+18;
     ]
 
 let test_json_depth () =

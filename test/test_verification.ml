@@ -70,7 +70,7 @@ let test_strang_reaction_diffusion_convergence () =
   (* full DL-type problem: Strang splitting should be ~2nd order in dt.
      Reference = very fine dt solution. *)
   let k = 25. in
-  let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
+  let r = { Pde.a = 1.4; b = 1.5; c = 0.25 } in
   let p =
     {
       Pde.xl = 1.;
